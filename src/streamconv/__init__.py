@@ -27,7 +27,6 @@ from .engines import (
     optimal_epoch_length,
 )
 from .errors import (
-    CacheWriteError,
     ConfigurationError,
     HorizonError,
     SequenceFormatError,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "TOLERANCE_SCALE",
     "ENGINE_KINDS",
-    "CacheWriteError",
     "ConfigurationError",
     "ContinuousEngine",
     "CostMeter",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import ConfigurationError
 from .generate import clamp_token, generate_prompted, generate_scratch
 from .rng import SplitMix64, stream_seed
 from .signal import Filter
-from .spectral import MAX_DENSE_EIG, spectral_filters
+from .spectral import spectral_filters
 
 CSV_COLUMNS = (
     "engine",
@@ -89,21 +88,14 @@ def read_records_csv(path: str) -> list[BenchRecord]:
     return records
 
 
-def _random_unit_taps(stream: SplitMix64, length: int) -> np.ndarray:
-    taps = stream.uniforms(length) * 2.0 - 1.0
-    norm = float(np.linalg.norm(taps))
-    return taps / norm if norm else taps
-
-
-def _make_taps(filter_source: str, stream: SplitMix64, length: int) -> np.ndarray:
+def make_taps(filter_source: str, stream: SplitMix64, length: int) -> np.ndarray:
+    """Taps for a "random" (unit-norm, drawn from ``stream``) or a
+    "spectral" (top Hankel eigenvector) filter source."""
     if filter_source == "random":
-        return _random_unit_taps(stream, length)
+        taps = stream.uniforms(length) * 2.0 - 1.0
+        norm = float(np.linalg.norm(taps))
+        return taps / norm if norm else taps
     if filter_source == "spectral":
-        if length > MAX_DENSE_EIG:
-            raise ConfigurationError(
-                f"spectral filters need length <= {MAX_DENSE_EIG}, got {length}; "
-                f"use the random filter source for longer runs"
-            )
         return spectral_filters(length, 1).filter_at(0)
     raise ConfigurationError(f"unknown filter source {filter_source!r}")
 
@@ -120,14 +112,14 @@ def _one_channel(
     stream = SplitMix64(channel_seed)
     token_map = clamp_token()
     if mode == "scratch":
-        taps = _make_taps(filter_source, stream, gen_len)
+        taps = make_taps(filter_source, stream, gen_len)
         seed_token = stream.uniform() * 2.0 - 1.0
         result = generate_scratch(
             Filter(taps, gen_len), gen_len, engine_kind, seed_token,
             token_map, epoch_len,
         )
     else:
-        taps = _make_taps(filter_source, stream, prompt_len + gen_len)
+        taps = make_taps(filter_source, stream, prompt_len + gen_len)
         prompt = stream.uniforms(prompt_len) * 2.0 - 1.0
         result = generate_prompted(
             prompt, Filter(taps, prompt_len + gen_len), gen_len, engine_kind,
@@ -145,7 +137,6 @@ def _one_run(
     channels: int,
     stream_base: int,
     filter_source: str = "random",
-    parallel_channels: bool = False,
 ) -> tuple[int, dict]:
     """Run one trial across all channels; returns (wall_ns, summed counters).
 
@@ -155,11 +146,7 @@ def _one_run(
     seeds = [stream_seed(stream_base, channel) for channel in range(channels)]
     args = (engine_kind, mode, gen_len, prompt_len, epoch_len, filter_source)
     start = time.perf_counter_ns()
-    if parallel_channels and channels > 1:
-        with ThreadPoolExecutor(max_workers=min(channels, 8)) as pool:
-            per_channel = list(pool.map(lambda s: _one_channel(*args, s), seeds))
-    else:
-        per_channel = [_one_channel(*args, s) for s in seeds]
+    per_channel = [_one_channel(*args, s) for s in seeds]
     wall = time.perf_counter_ns() - start
     totals = {"mac_count": 0, "ff_cost": 0, "cache_rebuilds": 0, "peak_aux_elems": 0}
     for counters in per_channel:
@@ -179,7 +166,6 @@ def run_bench(
     seed: int = 0,
     prompt_len: int = 0,
     filter_source: str = "random",
-    parallel_channels: bool = False,
 ) -> list[BenchRecord]:
     """Benchmark each (engine, length) cell; one record per measured trial."""
     if mode not in ("scratch", "prompt"):
@@ -209,7 +195,7 @@ def run_bench(
                 wall, totals = _one_run(
                     kind, mode, length, prompt_len,
                     k_epoch if kind == "epoched" else None,
-                    channels, base, filter_source, parallel_channels,
+                    channels, base, filter_source,
                 )
                 if trial < 1:
                     continue  # warmup, not recorded

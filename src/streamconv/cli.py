@@ -29,7 +29,7 @@ from .generate import clamp_token, generate_prompted, generate_scratch, identity
 from .rng import SplitMix64, stream_seed
 from .seqfile import read_sequence, write_sequence
 from .signal import Filter
-from .spectral import MAX_DENSE_EIG, save_filter_bank, spectral_filters
+from .spectral import save_filter_bank, spectral_filters
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--filter-source", choices=("random", "spectral"),
                    default="random")
-    p.add_argument("--parallel-channels", action="store_true",
-                   help="run channels of one trial on a thread pool "
-                        "(off by default for timing honesty)")
     _common_flags(p)
 
     p = sub.add_parser("slope", help="fit log2(metric) vs log2(L) from a CSV")
@@ -143,7 +140,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         prompt_len=args.prompt_len,
         filter_source=args.filter_source,
-        parallel_channels=args.parallel_channels,
     )
     out = args.output or "bench.csv"
     bench_mod.write_records_csv(records, out)
@@ -174,21 +170,9 @@ def _cmd_slope(args) -> int:
 
 
 def _gen_filter(args, total_len: int) -> Filter:
-    if args.filter_source == "random":
+    if args.filter_source != "file":
         stream = SplitMix64(stream_seed(args.seed, 97))
-        taps = stream.uniforms(total_len) * 2.0 - 1.0
-        norm = float(np.linalg.norm(taps))
-        if norm:
-            taps = taps / norm
-        return Filter(taps, total_len)
-    if args.filter_source == "spectral":
-        if total_len > MAX_DENSE_EIG:
-            raise ConfigurationError(
-                f"spectral filters need length <= {MAX_DENSE_EIG}; "
-                f"use --filter-source random for longer runs"
-            )
-        bank = spectral_filters(total_len, 1)
-        return Filter(bank.filter_at(0), total_len)
+        return Filter(bench_mod.make_taps(args.filter_source, stream, total_len), total_len)
     if not args.filter_file:
         raise ConfigurationError("--filter-source=file requires --filter-file")
     taps = read_sequence(args.filter_file)
@@ -231,10 +215,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_filters(args) -> int:
-    if args.length > MAX_DENSE_EIG:
-        raise ConfigurationError(
-            f"filter length capped at {MAX_DENSE_EIG}, got {args.length}"
-        )
     bank = spectral_filters(args.length, args.count)
     out = args.output or f"filters_{args.length}x{args.count}.csv"
     save_filter_bank(bank, out)

@@ -33,14 +33,14 @@ epoched step's inner product through BLAS ``ddot`` directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy import dot as _dot
 from scipy.linalg.blas import ddot as _ddot
 
 from .convolution import middle, next_pow2
-from .errors import CacheWriteError, ConfigurationError, HorizonError
+from .errors import ConfigurationError, HorizonError
 from .signal import ArrayLike, Filter, as_filter
 
 ENGINE_KINDS = ("naive", "epoched", "continuous")
@@ -74,9 +74,6 @@ class CostMeter:
     ff_cost: int = 0
     cache_rebuilds: int = 0
     peak_aux_elems: int = 0
-
-    def snapshot(self) -> "CostMeter":
-        return replace(self)
 
     def as_dict(self) -> dict:
         return {
@@ -312,8 +309,7 @@ class ContinuousEngine(OnlineConvEngine):
     outputs, where k(t) is the number of trailing zero bits of t
     (capped at floor(log2 horizon)). Writes past the horizon are
     truncated. Each cache slot is complete before the step that reads
-    it; a guard raises :class:`CacheWriteError` if an update would
-    ever touch an already-consumed slot.
+    it, and no update touches an already-consumed slot.
 
     The three smallest update sizes (seven steps in eight) are evaluated
     with scalar arithmetic: at m = 1, 2, 4 inputs the update is at most
@@ -376,10 +372,8 @@ class ContinuousEngine(OnlineConvEngine):
 
         if t < horizon:
             # slots 1..t are consumed; every write below starts at slot
-            # t+1, the scalar branches by construction and the general
-            # branch behind an explicit guard. Here t < horizon <
-            # 2**(b+1), so k(t) is never capped: 2**k(t) is the lowest
-            # set bit of t.
+            # t+1. Here t < horizon < 2**(b+1), so k(t) is never capped:
+            # 2**k(t) is the lowest set bit of t.
             if t & 1:
                 # k = 0: future slice of [u_t] against taps 2..2: one term
                 cv[t] += sample * self._tap1
@@ -405,12 +399,6 @@ class ContinuousEngine(OnlineConvEngine):
                 m = t & -t
                 n_write = min(m, horizon - t, self._ntaps - 1)
                 if n_write > 0:
-                    write_slot = t + 1  # 1-based start of the update range
-                    if write_slot <= self._t:
-                        raise CacheWriteError(
-                            f"cache update at step {t} would touch consumed "
-                            f"slot {write_slot}"
-                        )
                     ahead = self._cache[t:t + n_write]
                     ahead += middle(self._buf[t - m:t], self._taps, m, n_write)
         return out

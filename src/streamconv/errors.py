@@ -10,14 +10,6 @@ class HorizonError(RuntimeError):
     """An engine received more samples than its declared horizon."""
 
 
-class CacheWriteError(RuntimeError):
-    """A cache slot would be written after the step that consumed it.
-
-    Guards the write-once property of the schedule-driven engine; by
-    construction this is never raised on a correct schedule.
-    """
-
-
 class SequenceFormatError(ValueError):
     """A sequence or bank file failed to parse."""
 

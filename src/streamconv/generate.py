@@ -18,8 +18,7 @@ prefill cache holds the second sum, which is position L+t-1 (1-based)
 of the full convolution of p with phi. (A naive reading of the cache
 as the strict "future" slice would start one position later, at L+t,
 and drop tap phi_t for the last prompt token; the recurrence above is
-normative. The off-by-one variant is kept behind ``literal_cache``
-for comparison only.)
+normative.)
 """
 
 from __future__ import annotations
@@ -121,11 +120,12 @@ def generate_scratch(
         y = push(token)
         append(y)
         token = tmap(y)
+    meter = engine.meter
     return GenerationResult(
         outputs=Signal(np.array(outs, dtype=float)),
-        meter=engine.meter.snapshot(),
+        meter=meter,
         prefill_transform_calls=0,
-        decode_peak_aux_elems=engine.meter.peak_aux_elems,
+        decode_peak_aux_elems=meter.peak_aux_elems,
     )
 
 
@@ -133,7 +133,6 @@ def prefill(
     prompt: ArrayLike,
     phi: Filter | ArrayLike,
     gen_budget: int,
-    literal_cache: bool = False,
 ) -> PrefillCache:
     """Digest the prompt into a cache of ``gen_budget`` slots.
 
@@ -142,8 +141,7 @@ def prefill(
     :func:`~streamconv.convolution.middle` window of that convolution,
     whose transform spans about L + K points rather than the 2L + K of
     the full product. A ``gen_budget`` of zero yields
-    a valid empty cache. ``literal_cache`` selects the off-by-one
-    slice (positions L+1 .. L+K) for comparison tests only.
+    a valid empty cache.
     """
     prompt = as_signal(prompt)
     phi = as_filter(phi)
@@ -157,10 +155,9 @@ def prefill(
     w_len = min(p_len + k, taps.size)
     if p_len == 0 or w_len == 0:
         return PrefillCache(Signal(np.zeros(k)), 0)
-    start = p_len if literal_cache else p_len - 1
-    n = min(k, p_len + w_len - 1 - start)  # the rest lies past the product
+    n = min(k, w_len)  # the rest lies past the product
     slots = np.zeros(k)
-    slots[:n] = conv.middle(prompt.values, taps[:w_len], start, n)
+    slots[:n] = conv.middle(prompt.values, taps[:w_len], p_len - 1, n)
     return PrefillCache(Signal(slots), 1)
 
 
@@ -171,7 +168,6 @@ def generate_prompted(
     engine_kind: str = "continuous",
     token_map: TokenMap | None = None,
     epoch_len: int | None = None,
-    literal_cache: bool = False,
 ) -> GenerationResult:
     """Generate ``gen_budget`` outputs from a prompt (prefill + decode).
 
@@ -183,7 +179,7 @@ def generate_prompted(
     """
     phi = as_filter(phi)
     k = int(gen_budget)
-    cache = prefill(prompt, phi, k, literal_cache=literal_cache)
+    cache = prefill(prompt, phi, k)
     if k == 0:
         return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0)
     tmap = token_map or identity_token
@@ -199,11 +195,12 @@ def generate_prompted(
         y_hat = slots[t] + fed
         outs[t] = y_hat
         fed = push(tmap(y_hat))
+    meter = engine.meter
     return GenerationResult(
         outputs=Signal(outs),
-        meter=engine.meter.snapshot(),
+        meter=meter,
         prefill_transform_calls=cache.transform_calls,
-        decode_peak_aux_elems=k + engine.meter.peak_aux_elems,
+        decode_peak_aux_elems=k + meter.peak_aux_elems,
     )
 
 

@@ -159,9 +159,10 @@ class StuModel:
     dimension runs one engine whose kernel is the filter mix for that
     dimension; the step output is the engines' elementwise result.
 
-    Per-channel engines are independent; channels of one step may run
-    in parallel with a join before the projection sum. A model
-    instance itself is single-owner mutable state.
+    The engines form one flat list. In full mode engine ``j`` runs
+    filter ``j // d_in`` over input dimension ``j % d_in``; in
+    tensordot mode engine ``j`` runs mixed kernel ``j`` over projected
+    input ``j``. A model instance is single-owner mutable state.
     """
 
     def __init__(
@@ -173,7 +174,6 @@ class StuModel:
         factor_mix: np.ndarray | None = None,
         engine_kind: str = "naive",
         max_steps: int = 1024,
-        epoch_len: int | None = None,
     ):
         self.bank = bank
         self.max_steps = int(max_steps)
@@ -192,14 +192,7 @@ class StuModel:
             self.mode = "full"
             self.projections = projections
             self.d_out, self.d_in = projections.shape[1], projections.shape[2]
-            self._engines = [
-                [
-                    make_engine(engine_kind, Filter(bank.filter_at(i), ctx),
-                                self.max_steps, epoch_len)
-                    for _ in range(self.d_in)
-                ]
-                for i in range(k)
-            ]
+            kernels, repeats = bank.filters, self.d_in
         elif factor_filters is not None and factor_mix is not None:
             factor_filters = np.array(factor_filters, dtype=np.float64)
             factor_mix = np.array(factor_mix, dtype=np.float64)
@@ -214,25 +207,19 @@ class StuModel:
             self.factor_filters = factor_filters
             self.factor_mix = factor_mix
             self.d_out = self.d_in = d
-            mixed = bank.filters @ factor_filters  # (L, d): kernel per dimension
-            self.mixed_kernels = mixed
-            self._engines = [
-                make_engine(engine_kind, Filter(mixed[:, c], ctx),
-                            self.max_steps, epoch_len)
-                for c in range(d)
-            ]
+            self.mixed_kernels = bank.filters @ factor_filters  # (L, d): kernel per dimension
+            kernels, repeats = self.mixed_kernels, 1
         else:
             raise ConfigurationError("pass either projections or both factors")
+        self._engines = [
+            make_engine(engine_kind, Filter(kernels[:, j // repeats], ctx), self.max_steps)
+            for j in range(kernels.shape[1] * repeats)
+        ]
         self._last_features: np.ndarray | None = None
 
     def reset(self) -> None:
-        if self.mode == "full":
-            for row in self._engines:
-                for eng in row:
-                    eng.reset()
-        else:
-            for eng in self._engines:
-                eng.reset()
+        for eng in self._engines:
+            eng.reset()
         self._last_features = None
 
     def step(self, u_t: np.ndarray) -> np.ndarray:
@@ -242,20 +229,14 @@ class StuModel:
             raise ConfigurationError(
                 f"expected input of shape ({self.d_in},), got {u_t.shape}"
             )
-        if self.mode == "full":
-            k = self.bank.count
-            feats = np.empty((k, self.d_in))
-            for i in range(k):
-                row = self._engines[i]
-                for c in range(self.d_in):
-                    feats[i, c] = row[c].push(u_t[c])
-            self._last_features = feats
-            out = np.zeros(self.d_out)
-            for i in range(k):
-                out += self.projections[i] @ feats[i]
-            return out
-        projected = self.factor_mix @ u_t
-        return np.array([eng.push(projected[c]) for c, eng in enumerate(self._engines)])
+        full = self.mode == "full"
+        inputs = np.tile(u_t, self.bank.count) if full else self.factor_mix @ u_t
+        outs = np.array([eng.push(x) for eng, x in zip(self._engines, inputs.tolist())])
+        if not full:
+            return outs
+        feats = outs.reshape(self.bank.count, self.d_in)
+        self._last_features = feats
+        return np.einsum("ioc,ic->o", self.projections, feats)
 
     @property
     def last_features(self) -> np.ndarray | None:
@@ -274,11 +255,7 @@ def full_projections_from_factors(
     """
     factor_filters = np.asarray(factor_filters, dtype=np.float64)
     factor_mix = np.asarray(factor_mix, dtype=np.float64)
-    k, d = factor_filters.shape
-    out = np.empty((k, d, d))
-    for i in range(k):
-        out[i] = factor_filters[i][:, None] * factor_mix
-    return out
+    return factor_filters[:, :, None] * factor_mix
 
 
 def ogd_spectral_step(
@@ -302,6 +279,5 @@ def ogd_spectral_step(
     y_hat = model.step(u_t)
     residual = y_hat - y_t
     feats = model.last_features
-    for i in range(model.bank.count):
-        model.projections[i] -= learning_rate * 2.0 * np.outer(residual, feats[i])
+    model.projections -= learning_rate * 2.0 * (residual[:, None] * feats[:, None, :])
     return y_hat

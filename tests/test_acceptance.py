@@ -136,7 +136,7 @@ def test_criterion_5_continuous_accounting():
     while (1 << exp) <= (1 << 17):
         length = 1 << exp
         eng = ContinuousEngine(np.ones(length), length)
-        eng.push_many(np.zeros(length))  # CacheWriteError would surface here
+        eng.push_many(np.zeros(length))  # every schedule level, to the horizon
         expected = sum(max(1, k_of_t(t, exp)) << k_of_t(t, exp)
                        for t in range(1, length + 1))
         assert eng.meter.ff_cost == expected, length

@@ -70,14 +70,14 @@ class TestRecords:
             run_bench(["continuous"], [8192], trials=1, warmup=0,
                       filter_source="spectral")
 
-    def test_parallel_channels_same_counters(self):
-        serial = run_bench(["continuous"], [64], trials=1, warmup=0,
-                           channels=4, seed=5)
-        threaded = run_bench(["continuous"], [64], trials=1, warmup=0,
-                             channels=4, seed=5, parallel_channels=True)
-        assert serial[0].mac_count == threaded[0].mac_count
-        assert serial[0].ff_cost == threaded[0].ff_cost
-        assert serial[0].channels == 4
+    def test_channel_counters_are_summed(self):
+        one = run_bench(["continuous"], [64], trials=1, warmup=0,
+                        channels=1, seed=5)[0]
+        four = run_bench(["continuous"], [64], trials=1, warmup=0,
+                         channels=4, seed=5)[0]
+        assert four.channels == 4
+        for name in ("mac_count", "ff_cost", "cache_rebuilds", "peak_aux_elems"):
+            assert getattr(four, name) == 4 * getattr(one, name)
 
 
 class TestCsv:

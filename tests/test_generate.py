@@ -53,11 +53,6 @@ class TestPrefill:
                                    rtol=1e-12)
         assert cache.transform_calls == 1
 
-    def test_literal_variant_is_shifted_by_one(self):
-        cache = prefill([1, 2], PLACE_VALUE_FILTER, 2, literal_cache=True)
-        np.testing.assert_allclose(cache.contributions.values, [120.0, 1200.0],
-                                   rtol=1e-12)
-
     def test_empty_prompt_gives_zeros(self):
         cache = prefill([], [1, 2, 3], 3)
         np.testing.assert_array_equal(cache.contributions.values, [0, 0, 0])
@@ -137,11 +132,6 @@ class TestPrompted:
             assert result.decode_peak_aux_elems <= 4 * k
             assert result.prefill_transform_calls == 1
         assert len(peaks) == 1  # identical for every prompt length
-
-    def test_literal_cache_differs_from_recurrence(self):
-        got = generate_prompted([1, 2], PLACE_VALUE_FILTER, 2,
-                                literal_cache=True).outputs.values
-        assert not np.allclose(got, [12.0, 132.0])
 
 
 class TestTokenMaps:

@@ -3,13 +3,16 @@ import pytest
 from scipy.integrate import quad
 
 from streamconv import (
+    ENGINE_KINDS,
     ConfigurationError,
+    CostMeter,
     StuModel,
     conv_causal_reference,
     Filter,
     hankel_entry,
     hankel_matrix,
     load_filter_bank,
+    make_engine,
     ogd_spectral_step,
     save_filter_bank,
     spectral_filters,
@@ -152,6 +155,41 @@ class TestStuModel:
         for _ in range(steps):
             u = rng.uniform(-1, 1, d)
             np.testing.assert_allclose(tensor.step(u), full.step(u), atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_full_mode_features_match_reference(self, kind):
+        # distinct filters and inputs, so a wrong engine-index mapping shows
+        rng = np.random.default_rng(3)
+        length, k, d_in, d_out, steps = 16, 3, 2, 4, 40
+        bank = spectral_filters(length, k)
+        model = StuModel(bank, projections=np.zeros((k, d_out, d_in)),
+                         engine_kind=kind, max_steps=steps)
+        us = rng.uniform(-1, 1, (steps, d_in))
+        feats = np.empty((steps, k, d_in))
+        for t in range(steps):
+            model.step(us[t])
+            feats[t] = model.last_features
+        for i in range(k):
+            for c in range(d_in):
+                want = conv_causal_reference(us[:, c], Filter(bank.filter_at(i), steps))
+                np.testing.assert_allclose(feats[:, i, c], want.values, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_full_mode_counters_are_k_times_d_engines(self, kind):
+        length, k, d_in, steps = 32, 4, 3, 100
+        bank = spectral_filters(length, k)
+        model = StuModel(bank, projections=np.zeros((k, 2, d_in)),
+                         engine_kind=kind, max_steps=steps)
+        rng = np.random.default_rng(8)
+        us = rng.uniform(-1, 1, (steps, d_in))
+        for t in range(steps):
+            model.step(us[t])
+        single = make_engine(kind, Filter(bank.filter_at(0), steps), steps)
+        single.push_many(us[:, 0])
+        assert len(model._engines) == k * d_in
+        for name in CostMeter().as_dict():
+            total = sum(getattr(eng.meter, name) for eng in model._engines)
+            assert total == k * d_in * getattr(single.meter, name), name
 
     def test_tensordot_engine_count_is_dimension(self):
         bank = spectral_filters(16, 4)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamconv import (
+    ENGINE_KINDS,
     ConfigurationError,
     ContinuousEngine,
     CostMeter,
@@ -20,6 +21,7 @@ from streamconv import (
     optimal_epoch_length,
 )
 from streamconv.convolution import next_pow2
+from streamconv.engines import _BLOCK
 
 
 def oracle(u, taps):
@@ -146,12 +148,16 @@ class TestEpoched:
 
 class TestContinuous:
     def test_trace_with_cache_contents(self):
-        # hand trace: after t=3 the cache holds [_, 2, 5, 9]
         eng = ContinuousEngine([1, 2, 3, 4], 4)
-        outs = [eng.push(1.0), eng.push(1.0), eng.push(1.0)]
-        np.testing.assert_allclose(eng.cache[1:], [2.0, 5.0, 9.0])
-        outs.append(eng.push(1.0))
-        assert outs == [1, 3, 6, 10]
+        assert [eng.push(1.0) for _ in range(4)] == [1, 3, 6, 10]
+        # hand trace, ramp taps phi_j = j and unit inputs at horizon 2B:
+        # after the first block the cache holds nothing for it and, at
+        # slot s of the second, its contribution phi_{s-B+1} + .. + phi_s
+        eng = ContinuousEngine(np.arange(1.0, 2 * _BLOCK + 1), 2 * _BLOCK)
+        eng.push_many(np.ones(_BLOCK))
+        s = np.arange(_BLOCK + 1, 2 * _BLOCK + 1)
+        np.testing.assert_array_equal(
+            eng.cache, np.concatenate([np.zeros(_BLOCK), _BLOCK * (2 * s - _BLOCK + 1) / 2]))
 
     def test_ff_cost_is_schedule_sum(self):
         eng = ContinuousEngine([1, 2, 3, 4], 4)
@@ -253,12 +259,35 @@ class TestCrossEngine:
             assert a.meter == b.meter
 
     def test_reset_restores_fresh_state(self):
-        taps = np.arange(1.0, 9.0)
-        eng = make_engine("continuous", taps, 8)
-        first = eng.push_many(np.ones(8))
-        eng.reset()
-        assert eng.meter.mac_count == 0
-        np.testing.assert_array_equal(eng.push_many(np.ones(8)), first)
+        rng = np.random.default_rng(5)
+        u = rng.uniform(-1, 1, 200)
+        taps = rng.uniform(-1, 1, 200)
+        for kind in ENGINE_KINDS:
+            fresh = make_engine(kind, taps, 200)
+            first = fresh.push_many(u)
+            eng = make_engine(kind, taps, 200)
+            eng.push_many(rng.uniform(-1, 1, 77))  # mid-epoch, mid-block
+            eng.reset()
+            assert eng.meter == make_engine(kind, taps, 200).meter
+            np.testing.assert_array_equal(eng.push_many(u), first)
+            assert eng.meter == fresh.meter
+
+    def test_push_returns_python_float(self):
+        rng = np.random.default_rng(23)
+        taps = rng.uniform(-1, 1, 130)
+        for kind in ENGINE_KINDS:
+            eng = make_engine(kind, taps, 130)
+            assert all(type(eng.push(np.float64(x))) is float
+                       for x in rng.uniform(-1, 1, 130)), kind
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 130])
+    @pytest.mark.parametrize("ntaps", [0, 1, 2, 3])
+    def test_short_filters_match_oracle(self, ntaps, length):
+        rng = np.random.default_rng(100 * ntaps + length)
+        u = rng.uniform(-1, 1, length)
+        taps = rng.uniform(-1, 1, ntaps)
+        for kind in ENGINE_KINDS:
+            assert_matches_oracle(make_engine(kind, Filter(taps, length), length), u, taps)
 
     def test_copy_and_pickle_resume_mid_stream(self):
         rng = np.random.default_rng(17)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,26 +27,10 @@ from .rng import SplitMix64, stream_seed
 from .signal import Filter
 from .spectral import spectral_filters
 
-CSV_COLUMNS = (
-    "engine",
-    "mode",
-    "L_gen",
-    "L_prompt",
-    "K_epoch",
-    "channels",
-    "trial",
-    "wall_ns",
-    "mac_count",
-    "ff_cost",
-    "cache_rebuilds",
-    "peak_aux_elems",
-)
-
-_INT_COLUMNS = set(CSV_COLUMNS) - {"engine", "mode"}
-
-
 @dataclass
 class BenchRecord:
+    """One measured trial: a CSV row, columns in field order."""
+
     engine: str
     mode: str
     L_gen: int
@@ -60,8 +44,10 @@ class BenchRecord:
     cache_rebuilds: int
     peak_aux_elems: int
 
-    def row(self) -> list:
-        return [getattr(self, name) for name in CSV_COLUMNS]
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+
+_INT_COLUMNS = set(CSV_COLUMNS) - {"engine", "mode"}
 
 
 def write_records_csv(records, path: str) -> None:
@@ -69,7 +55,7 @@ def write_records_csv(records, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow(rec.row())
+            writer.writerow(astuple(rec))
 
 
 def read_records_csv(path: str) -> list[BenchRecord]:
@@ -215,29 +201,41 @@ def run_bench(
     return records
 
 
+def _cells(records, key) -> list[tuple]:
+    """``(key, trials, kept)`` per cell of records with equal ``key(rec)``,
+    in key order: the cell's number of measured trials and its records
+    in trial order, less the first when there is more than one."""
+    cells: dict = {}
+    for rec in records:
+        cells.setdefault(key(rec), []).append(rec)
+    out = []
+    for k, recs in sorted(cells.items()):
+        recs = sorted(recs, key=lambda r: r.trial)
+        out.append((k, len(recs), recs[1:] if len(recs) > 1 else recs))
+    return out
+
+
 def summarize(records) -> list[dict]:
     """Per (engine, mode, L_gen) summary: discard the first measured
     trial and average the remaining wall times (all trials when only
     one exists). Counter columns are constant across trials."""
-    cells: dict[tuple, list[BenchRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.engine, rec.mode, rec.L_gen), []).append(rec)
     out = []
-    for (engine, mode, length), recs in sorted(cells.items()):
-        recs = sorted(recs, key=lambda r: r.trial)
-        kept = recs[1:] if len(recs) > 1 else recs
+    for (engine, mode, length), trials, kept in _cells(
+        records, lambda r: (r.engine, r.mode, r.L_gen)
+    ):
+        last = kept[-1]
         out.append(
             {
                 "engine": engine,
                 "mode": mode,
                 "L_gen": length,
-                "trials": len(recs),
+                "trials": trials,
                 "wall_ns_mean": sum(r.wall_ns for r in kept) / len(kept),
-                "mac_count": recs[-1].mac_count,
-                "ff_cost": recs[-1].ff_cost,
-                "cache_rebuilds": recs[-1].cache_rebuilds,
-                "peak_aux_elems": recs[-1].peak_aux_elems,
-                "K_epoch": recs[-1].K_epoch,
+                "mac_count": last.mac_count,
+                "ff_cost": last.ff_cost,
+                "cache_rebuilds": last.cache_rebuilds,
+                "peak_aux_elems": last.peak_aux_elems,
+                "K_epoch": last.K_epoch,
             }
         )
     return out
@@ -255,7 +253,7 @@ class SlopeFit:
     n_points: int
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 def metric_value(record: BenchRecord, metric: str) -> float:
@@ -275,18 +273,13 @@ def fit_slope(records, metric: str, engine: str) -> SlopeFit:
     Uses per-length means with the first measured trial discarded
     (when more than one trial exists); needs >= 4 distinct lengths.
     """
-    by_length: dict[int, list[BenchRecord]] = {}
-    for rec in records:
-        if rec.engine == engine:
-            by_length.setdefault(rec.L_gen, []).append(rec)
+    by_length = _cells((r for r in records if r.engine == engine), lambda r: r.L_gen)
     if len(by_length) < 4:
         raise ConfigurationError(
             f"need >= 4 distinct lengths for {engine!r}, got {len(by_length)}"
         )
     xs, ys = [], []
-    for length, recs in sorted(by_length.items()):
-        recs = sorted(recs, key=lambda r: r.trial)
-        kept = recs[1:] if len(recs) > 1 else recs
+    for length, _, kept in by_length:
         mean = sum(metric_value(r, metric) for r in kept) / len(kept)
         if mean <= 0 or length <= 0:
             raise ConfigurationError("metric and length must be positive for log fit")

@@ -34,12 +34,17 @@ wall-clock of the sub-quadratic engines at practical sizes. The shared
 step therefore writes the sample through a ``memoryview`` of the
 buffer, reads its cached slot from a list of Python floats and calls
 BLAS ``ddot`` directly. Every engine's ``push`` returns a Python float.
+
+``push`` rejects a NaN or infinite sample with ``ValueError`` before
+it changes any state, as :class:`~streamconv.signal.Signal` does, so
+the engine goes on as if the sample had never been offered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from math import isfinite as _isfinite
 
 import numpy as np
 from numpy import dot as _dot
@@ -86,12 +91,7 @@ class CostMeter:
     peak_aux_elems: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "mac_count": self.mac_count,
-            "ff_cost": self.ff_cost,
-            "cache_rebuilds": self.cache_rebuilds,
-            "peak_aux_elems": self.peak_aux_elems,
-        }
+        return asdict(self)
 
 
 def k_of_t(t: int, b: int) -> int:
@@ -202,6 +202,8 @@ class NaiveEngine(OnlineConvEngine):
         t = self._t
         if t >= self.horizon:
             raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
+        if not _isfinite(sample):
+            raise ValueError(f"sample must be finite (no NaN/Inf), got {sample!r}")
         buf = self._buf
         buf[t] = sample
         t += 1
@@ -256,6 +258,8 @@ class _BlockedEngine(OnlineConvEngine):
         t = self._t
         if t >= self.horizon:
             raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
+        if not _isfinite(sample):
+            raise ValueError(f"sample must be finite (no NaN/Inf), got {sample!r}")
         self._bufv[t] = sample
         p = t - self._e0  # phase tau - 1
         # ddot(x, y, n, offx): r[B-tau:] . block[:tau]
@@ -323,8 +327,7 @@ class EpochedEngine(_BlockedEngine):
         k = self.epoch_len
         cache = self._cache
         cache[:] = 0.0
-        # slots a later push reads and a stored tap reaches
-        n = min(k, self.horizon - t, min(t + k, self._ntaps) - 1)
+        n = min(k, self.horizon - t)  # the slots a later push reads
         if n > 0:
             cache[:n] = middle(self._buf[:t], self._taps, t, n)
         return cache.tolist()
@@ -383,16 +386,15 @@ class ContinuousEngine(_BlockedEngine):
         return CostMeter(t, ff, 0, self.horizon)
 
     def _next_block(self, t: int) -> list:
-        if t < self.horizon:
-            # t < horizon < 2**(b+1), so k(t) is not capped and m is the
-            # lowest set bit of t. The last m inputs against taps 2..2m:
-            # positions m..2m-1 of their m x 2m product, cut to the
-            # horizon and to the stored taps.
-            m = t & -t
-            n = min(m, self.horizon - t, self._ntaps - 1)
-            if n > 0:
-                ahead = self._cache[t:t + n]
-                ahead += middle(self._buf[t - m:t], self._taps, m, n)
+        # below the horizon t < 2**(b+1), so k(t) is not capped and m is
+        # the lowest set bit of t. The last m inputs against taps
+        # 2..2m: positions m..2m-1 of their m x 2m product, cut to the
+        # horizon.
+        m = t & -t
+        n = min(m, self.horizon - t)
+        if n > 0:
+            ahead = self._cache[t:t + n]
+            ahead += middle(self._buf[t - m:t], self._taps, m, n)
         return self._cache[t:t + _BLOCK].tolist()
 
 

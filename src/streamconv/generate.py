@@ -152,13 +152,9 @@ def prefill(
     if k == 0:
         return PrefillCache(Signal(np.zeros(0)), 0)
     taps = phi.taps_array()
-    w_len = min(p_len + k, taps.size)
-    if p_len == 0 or w_len == 0:
+    if p_len == 0 or taps.size == 0:
         return PrefillCache(Signal(np.zeros(k)), 0)
-    n = min(k, w_len)  # the rest lies past the product
-    slots = np.zeros(k)
-    slots[:n] = conv.middle(prompt.values, taps[:w_len], p_len - 1, n)
-    return PrefillCache(Signal(slots), 1)
+    return PrefillCache(Signal(conv.middle(prompt.values, taps, p_len - 1, k)), 1)
 
 
 def generate_prompted(

@@ -22,6 +22,7 @@ realistic multi-channel workload, not to chase downstream quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -230,8 +231,14 @@ class StuModel:
                 f"expected input of shape ({self.d_in},), got {u_t.shape}"
             )
         full = self.mode == "full"
-        inputs = np.tile(u_t, self.bank.count) if full else self.factor_mix @ u_t
-        outs = np.array([eng.push(x) for eng, x in zip(self._engines, inputs.tolist())])
+        inputs = (u_t if full else self.factor_mix @ u_t).tolist()
+        if not all(map(isfinite, inputs)):
+            # checked here, not by the first push that meets one, so
+            # no engine has advanced when the step is rejected
+            raise ValueError("engine inputs must be finite (no NaN/Inf)")
+        if full:
+            inputs *= self.bank.count  # engine j reads input j % d_in
+        outs = np.array([eng.push(x) for eng, x in zip(self._engines, inputs)])
         if not full:
             return outs
         feats = outs.reshape(self.bank.count, self.d_in)

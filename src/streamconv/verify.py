@@ -6,13 +6,17 @@ deterministically from the given seed, so two runs with the same seed
 produce identical reports (wall_ns aside). A failing suite serializes
 the offending instance (parameters, derived seed, and the data itself
 when small) so it can be replayed.
+
+A suite is a function ``suite_<name>(res, seed, max_l)`` that records
+each checked instance in the :class:`SuiteResult` it is given;
+:func:`run_all` creates, names and times the results.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,46 +39,43 @@ DEFAULT_MAX_L = 4096
 
 @dataclass
 class SuiteResult:
+    """The report of one suite."""
+
     name: str
-    passed: bool
-    instances: int
-    max_error: float
+    passed: bool = True
+    instances: int = 0
+    max_error: float = 0.0
     failures: list = field(default_factory=list)
     wall_ns: int = 0
 
+    def check(self, error: float = 0.0) -> None:
+        """Count one checked instance, keeping the largest error."""
+        self.instances += 1
+        self.max_error = max(self.max_error, error)
+
+    def fail(self, **instance) -> None:
+        """Mark the suite failed; the first 8 failing instances are kept."""
+        self.passed = False
+        if len(self.failures) < 8:
+            self.failures.append(instance)
+
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "instances": self.instances,
-            "max_error": self.max_error,
-            "failures": self.failures,
-            "wall_ns": self.wall_ns,
-        }
+        return asdict(self)
 
 
 def _rng(seed: int, *parts) -> np.random.Generator:
     return np.random.default_rng(stream_seed(seed, *parts))
 
 
-def _fail(failures, limit=8, **info):
-    if len(failures) < limit:
-        failures.append(info)
-
-
 def _serialize(arr: np.ndarray, cap: int = 128):
     return [float(v) for v in arr[:cap]] + (["..."] if arr.size > cap else [])
 
 
-def suite_futurefill(seed: int, max_l: int, instances: int = 400) -> SuiteResult:
+def suite_futurefill(res: SuiteResult, seed: int, max_l: int) -> None:
     """Future-slice values vs direct summation and the full-conv slice."""
-    started = time.perf_counter_ns()
-    failures = []
-    max_err = 0.0
-    count = 0
     rng = _rng(seed, 1)
     cap = min(max_l, 256)
-    for idx in range(instances):
+    for idx in range(400):
         t1 = int(rng.integers(0, cap + 1))
         t2 = int(rng.integers(1, cap + 1))
         v = rng.uniform(-1, 1, t1)
@@ -88,63 +89,49 @@ def suite_futurefill(seed: int, max_l: int, instances: int = 400) -> SuiteResult
             float(np.max(np.abs(got - slice_oracle))) / scale if direct.size else 0.0
         )
         err = max(err, err_slice)
-        max_err = max(max_err, err)
-        count += 1
+        res.check(err)
         if err > 1e-10 or got.size != max(t2 - 1, 0):
-            _fail(failures, case=idx, t1=t1, t2=t2, error=err,
-                  v=_serialize(v), w=_serialize(w))
-    return SuiteResult("futurefill", not failures, count, max_err,
-                       failures, time.perf_counter_ns() - started)
+            res.fail(case=idx, t1=t1, t2=t2, error=err,
+                     v=_serialize(v), w=_serialize(w))
 
 
-def suite_proposition_split(seed: int, max_l: int) -> SuiteResult:
+def suite_proposition_split(res: SuiteResult, seed: int, max_l: int) -> None:
     """Split identity: exhaustive at small lengths, randomized at max_l."""
-    started = time.perf_counter_ns()
-    failures = []
-    count = 0
     rng = _rng(seed, 2)
     for n in range(1, 33):
         a = rng.uniform(-1, 1, n)
         b = rng.uniform(-1, 1, n)
         for t1 in range(1, n + 1):
-            count += 1
+            res.check()
             if not conv.split_check(a, b, t1):
-                _fail(failures, n=n, t1=t1, a=_serialize(a), b=_serialize(b))
+                res.fail(n=n, t1=t1, a=_serialize(a), b=_serialize(b))
     n = min(max_l, 4096)
     a = rng.uniform(-1, 1, n)
     b = rng.uniform(-1, 1, n)
     for t1 in sorted(set(int(x) for x in rng.integers(1, n + 1, 16))):
-        count += 1
+        res.check()
         if not conv.split_check(a, b, t1):
-            _fail(failures, n=n, t1=t1)
-    return SuiteResult("proposition_split", not failures, count, 0.0,
-                       failures, time.perf_counter_ns() - started)
+            res.fail(n=n, t1=t1)
 
 
 def _oracle_outputs(u: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return conv.conv_causal_reference(u, Filter(taps, max(1, u.size, taps.size))).values
 
 
-def suite_oracle_equivalence(seed: int, max_l: int) -> SuiteResult:
+def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
     """All engines vs the direct-summation oracle."""
-    started = time.perf_counter_ns()
-    failures = []
-    max_err = 0.0
-    count = 0
     rng = _rng(seed, 3)
 
     def check(u, taps, engines, tag):
-        nonlocal max_err, count
         ref = _oracle_outputs(u, taps)
         tol = 1e-8 * (1.0 + (float(np.max(np.abs(ref))) if ref.size else 0.0))
         for eng in engines:
             got = eng.push_many(u)
             err = float(np.max(np.abs(got - ref))) if ref.size else 0.0
-            max_err = max(max_err, err)
-            count += 1
+            res.check(err)
             if err > tol:
-                _fail(failures, tag=tag, engine=eng.kind, L=u.size, error=err,
-                      u=_serialize(u), taps=_serialize(taps))
+                res.fail(tag=tag, engine=eng.kind, L=u.size, error=err,
+                         u=_serialize(u), taps=_serialize(taps))
 
     for length in range(1, 49):
         u = rng.uniform(-1, 1, length)
@@ -164,15 +151,10 @@ def suite_oracle_equivalence(seed: int, max_l: int) -> SuiteResult:
                 EpochedEngine(taps, length, optimal_epoch_length(length)),
             ]
             check(u, taps, engines, "random")
-    return SuiteResult("oracle_equivalence", not failures, count, max_err,
-                       failures, time.perf_counter_ns() - started)
 
 
-def suite_cache_lemma(seed: int, max_l: int) -> SuiteResult:
+def suite_cache_lemma(res: SuiteResult, seed: int, max_l: int) -> None:
     """No cache slot changes after the step that consumed it."""
-    started = time.perf_counter_ns()
-    failures = []
-    count = 0
     rng = _rng(seed, 4)
     for length in (64, 100, 256, min(512, max_l)):
         u = rng.uniform(-1, 1, length)
@@ -185,37 +167,31 @@ def suite_cache_lemma(seed: int, max_l: int) -> SuiteResult:
             frozen[t] = cache[t]
             # slots consumed so far must still hold their frozen values
             if t and not np.array_equal(cache[:t], frozen[:t]):
-                _fail(failures, L=length, step=t + 1)
-            count += 1
-    return SuiteResult("cache_lemma", not failures, count, 0.0,
-                       failures, time.perf_counter_ns() - started)
+                res.fail(L=length, step=t + 1)
+            res.check()
 
 
-def suite_cost_bounds(seed: int, max_l: int) -> SuiteResult:
+def suite_cost_bounds(res: SuiteResult, seed: int, max_l: int) -> None:
     """Exact counter identities and the quasilinear cost bound."""
-    started = time.perf_counter_ns()
-    failures = []
-    count = 0
-
     for length in (15, 64, 100, 257, min(1024, max_l)):
         zeros = np.zeros(length)
         taps = np.ones(length)
         naive = NaiveEngine(taps, length)
         naive.push_many(zeros)
-        count += 1
+        res.check()
         if naive.meter.mac_count != length * (length + 1) // 2:
-            _fail(failures, check="naive_mac", L=length, got=naive.meter.mac_count)
+            res.fail(check="naive_mac", L=length, got=naive.meter.mac_count)
 
         k = optimal_epoch_length(length)
         epoched = EpochedEngine(taps, length, k)
         epoched.push_many(zeros)
-        count += 1
+        res.check()
         if epoched.meter.cache_rebuilds != length // k:
-            _fail(failures, check="rebuilds", L=length, K=k,
-                  got=epoched.meter.cache_rebuilds)
+            res.fail(check="rebuilds", L=length, K=k,
+                     got=epoched.meter.cache_rebuilds)
         if epoched.meter.peak_aux_elems > 4 * k:
-            _fail(failures, check="epoched_aux", L=length, K=k,
-                  got=epoched.meter.peak_aux_elems)
+            res.fail(check="epoched_aux", L=length, K=k,
+                     got=epoched.meter.peak_aux_elems)
 
     length = 2
     while length <= max_l:
@@ -228,24 +204,18 @@ def suite_cost_bounds(seed: int, max_l: int) -> SuiteResult:
             k = k_of_t(t, b)
             expected += (k if k else 1) << k
         bound = 3 * length * b * b
-        count += 1
+        res.check()
         if eng.meter.ff_cost != expected:
-            _fail(failures, check="ff_cost_sum", L=length,
-                  got=eng.meter.ff_cost, expected=expected)
+            res.fail(check="ff_cost_sum", L=length,
+                     got=eng.meter.ff_cost, expected=expected)
         if eng.meter.ff_cost > bound:
-            _fail(failures, check="ff_cost_bound", L=length,
-                  got=eng.meter.ff_cost, bound=bound)
+            res.fail(check="ff_cost_bound", L=length,
+                     got=eng.meter.ff_cost, bound=bound)
         length *= 4
-    return SuiteResult("cost_bounds", not failures, count, 0.0,
-                       failures, time.perf_counter_ns() - started)
 
 
-def suite_prompted_oracle(seed: int, max_l: int) -> SuiteResult:
+def suite_prompted_oracle(res: SuiteResult, seed: int, max_l: int) -> None:
     """Prompted generation vs the direct recurrence oracle."""
-    started = time.perf_counter_ns()
-    failures = []
-    max_err = 0.0
-    count = 0
     rng = _rng(seed, 5)
     for p_len in range(0, 25, 3):
         for k in range(1, 25, 3):
@@ -256,64 +226,49 @@ def suite_prompted_oracle(seed: int, max_l: int) -> SuiteResult:
             for kind in ("naive", "epoched", "continuous"):
                 got = generate_prompted(p, taps, k, kind).outputs.values
                 err = float(np.max(np.abs(got - want)))
-                max_err = max(max_err, err)
-                count += 1
+                res.check(err)
                 if err > tol:
-                    _fail(failures, L_prompt=p_len, K=k, engine=kind, error=err,
-                          p=_serialize(p), taps=_serialize(taps))
+                    res.fail(L_prompt=p_len, K=k, engine=kind, error=err,
+                             p=_serialize(p), taps=_serialize(taps))
     # cache size stays pinned to the budget as the prompt grows
     k = 64
     for p_len in (256, 1024, min(4096, max_l)):
         p = rng.uniform(-1, 1, p_len)
         taps = rng.uniform(-1, 1, p_len + k)
         result = generate_prompted(p, taps, k, "continuous")
-        count += 1
+        res.check()
         if result.decode_peak_aux_elems > 4 * k:
-            _fail(failures, check="decode_aux", L_prompt=p_len, K=k,
-                  got=result.decode_peak_aux_elems)
+            res.fail(check="decode_aux", L_prompt=p_len, K=k,
+                     got=result.decode_peak_aux_elems)
         if result.prefill_transform_calls != 1:
-            _fail(failures, check="prefill_calls", L_prompt=p_len, K=k,
-                  got=result.prefill_transform_calls)
-    return SuiteResult("prompted_oracle", not failures, count, max_err,
-                       failures, time.perf_counter_ns() - started)
+            res.fail(check="prefill_calls", L_prompt=p_len, K=k,
+                     got=result.prefill_transform_calls)
 
 
-def suite_hankel(seed: int, max_l: int) -> SuiteResult:
+def suite_hankel(res: SuiteResult, seed: int, max_l: int) -> None:
     """Closed-form entries vs quadrature; bank orthonormality."""
-    started = time.perf_counter_ns()
-    failures = []
-    max_err = 0.0
-    count = 0
     for n in range(2, 65):
         integral, _ = quad(lambda a: (a - 1.0) ** 2 * a ** (n - 2), 0.0, 1.0,
                            epsabs=1e-14, epsrel=1e-14)
         err = abs(hankel_entry(1, n - 1) - integral)
-        max_err = max(max_err, err)
-        count += 1
+        res.check(err)
         if err > 1e-12:
-            _fail(failures, check="quadrature", n=n, error=err)
+            res.fail(check="quadrature", n=n, error=err)
 
     bank = spectral_filters(64, 8)
     gram = bank.filters.T @ bank.filters
     ortho_err = float(np.max(np.abs(gram - np.eye(8))))
-    max_err = max(max_err, ortho_err)
-    count += 1
+    res.check(ortho_err)
     if ortho_err > 1e-8:
-        _fail(failures, check="orthonormal", error=ortho_err)
+        res.fail(check="orthonormal", error=ortho_err)
     vals = bank.eigenvalues
-    count += 1
+    res.check()
     if np.any(vals < 0) or np.any(np.diff(vals) > 0):
-        _fail(failures, check="eigenvalue_order", values=_serialize(vals))
-    return SuiteResult("hankel", not failures, count, max_err,
-                       failures, time.perf_counter_ns() - started)
+        res.fail(check="eigenvalue_order", values=_serialize(vals))
 
 
-def suite_gradient(seed: int, max_l: int) -> SuiteResult:
+def suite_gradient(res: SuiteResult, seed: int, max_l: int) -> None:
     """Analytic projection gradient vs central finite differences."""
-    started = time.perf_counter_ns()
-    failures = []
-    max_err = 0.0
-    count = 0
     rng = _rng(seed, 6)
     d, k, length, steps = 3, 2, 16, 6
     bank = spectral_filters(length, k)
@@ -345,10 +300,9 @@ def suite_gradient(seed: int, max_l: int) -> SuiteResult:
                     numeric[r, c] = (lp - lm) / (2 * eps)
             scale = max(1.0, float(np.max(np.abs(numeric))))
             err = float(np.max(np.abs(analytic - numeric))) / scale
-            max_err = max(max_err, err)
-            count += 1
+            res.check(err)
             if err > 1e-5:
-                _fail(failures, rep=rep, filter=i, error=err)
+                res.fail(rep=rep, filter=i, error=err)
 
         # the shipped update must apply exactly -lr * analytic gradient
         lr = 0.05
@@ -357,13 +311,11 @@ def suite_gradient(seed: int, max_l: int) -> SuiteResult:
         for t in range(steps - 1):
             fresh.step(us[t])
         ogd_spectral_step(fresh, us[-1], ys[-1], lr)
-        count += 1
+        res.check()
         for i in range(k):
             want = proj[i] - lr * analytic_all[i]
             if not np.allclose(fresh.projections[i], want, atol=1e-12):
-                _fail(failures, rep=rep, check="update_rule", filter=i)
-    return SuiteResult("gradient", not failures, count, max_err,
-                       failures, time.perf_counter_ns() - started)
+                res.fail(rep=rep, check="update_rule", filter=i)
 
 
 def _final_step_loss(bank, proj, us, ys, steps):
@@ -387,7 +339,15 @@ ALL_SUITES = (
 
 
 def run_all(seed: int = 0, max_l: int = DEFAULT_MAX_L) -> list[SuiteResult]:
-    return [suite(seed, max_l) for suite in ALL_SUITES]
+    """Run every suite into a result named after it, timing each."""
+    results = []
+    for suite in ALL_SUITES:
+        res = SuiteResult(suite.__name__.removeprefix("suite_"))
+        started = time.perf_counter_ns()
+        suite(res, seed, max_l)
+        res.wall_ns = time.perf_counter_ns() - started
+        results.append(res)
+    return results
 
 
 def report(results: list[SuiteResult], seed: int, max_l: int) -> dict:

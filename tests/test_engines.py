@@ -289,6 +289,57 @@ class TestCrossEngine:
         for kind in ENGINE_KINDS:
             assert_matches_oracle(make_engine(kind, Filter(taps, length), length), u, taps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_without_state_change(self, bad):
+        # the third sample, and the last of an epoch and of a continuous
+        # block, whose push would start the next block
+        rng = np.random.default_rng(29)
+        u = rng.uniform(-1, 1, 200)
+        taps = rng.uniform(-1, 1, 200)
+        for kind in ENGINE_KINDS:
+            want = make_engine(kind, taps, 200).push_many(u)
+            for at in (2, optimal_epoch_length(200) - 1, _BLOCK - 1):
+                eng = make_engine(kind, taps, 200)
+                head = eng.push_many(u[:at])
+                with pytest.raises(ValueError):
+                    eng.push(bad)
+                assert eng.steps == at, kind
+                got = np.concatenate([head, eng.push_many(u[at:])])
+                np.testing.assert_array_equal(got, want, err_msg=kind)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_push_many_equals_push_and_oracle(self, data):
+        length = data.draw(st.integers(min_value=1, max_value=300), label="length")
+        ntaps = data.draw(st.sampled_from([0, 1, 2, 3, length]), label="ntaps")
+        epoch = data.draw(st.sampled_from([1, length])
+                          | st.integers(min_value=1, max_value=length), label="K")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+        u = rng.uniform(-1, 1, length)
+        taps = rng.uniform(-1, 1, ntaps)
+        ref = oracle(u, taps)
+        tol = 1e-8 * (1.0 + np.max(np.abs(ref)))
+        phi = Filter(taps, max(length, ntaps))
+        for kind in ENGINE_KINDS:
+            batch = make_engine(kind, phi, length, epoch).push_many(u)
+            eng = make_engine(kind, phi, length, epoch)
+            np.testing.assert_array_equal(batch, [eng.push(x) for x in u], err_msg=kind)
+            assert np.max(np.abs(batch - ref)) <= tol, kind
+
+    def test_exact_integer_oracle_at_benchmark_scale(self):
+        # samples and taps in -8..8: every partial sum is an integer
+        # below 2**53, so np.convolve in float64 is exact
+        length = 1 << 16
+        rng = np.random.default_rng(41)
+        u = rng.integers(-8, 9, length).astype(float)
+        taps = rng.integers(-8, 9, length).astype(float)
+        exact = np.convolve(u, taps)[:length]
+        bound = (np.log2(length) * np.finfo(float).eps
+                 * np.sum(np.abs(u)) * np.max(np.abs(taps)))
+        for kind in ENGINE_KINDS:
+            err = np.max(np.abs(make_engine(kind, taps, length).push_many(u) - exact))
+            assert err <= bound, (kind, err, bound)
+
     def test_copy_and_pickle_resume_mid_stream(self):
         rng = np.random.default_rng(17)
         u = rng.uniform(-1, 1, 200)

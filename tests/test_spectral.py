@@ -191,6 +191,40 @@ class TestStuModel:
             total = sum(getattr(eng.meter, name) for eng in model._engines)
             assert total == k * d_in * getattr(single.meter, name), name
 
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @pytest.mark.parametrize("mode", ["full", "tensordot"])
+    def test_reset_then_replay_matches_fresh_model(self, mode, kind):
+        rng = np.random.default_rng(31)
+        length, k, d, steps = 32, 3, 2, 100
+        bank = spectral_filters(length, k)
+        if mode == "full":
+            weights = {"projections": rng.standard_normal((k, d, d))}
+        else:
+            weights = {"factor_filters": rng.standard_normal((k, d)),
+                       "factor_mix": rng.standard_normal((d, d))}
+        fresh, model = (StuModel(bank, engine_kind=kind, max_steps=steps,
+                                 **{n: w.copy() for n, w in weights.items()})
+                        for _ in range(2))
+        for u in rng.uniform(-1, 1, (77, d)):  # mid-block, mid-epoch
+            model.step(u)
+        model.reset()
+        assert model.last_features is None
+        for u in rng.uniform(-1, 1, (steps, d)):
+            np.testing.assert_array_equal(model.step(u), fresh.step(u))
+            if mode == "full":
+                np.testing.assert_array_equal(model.last_features, fresh.last_features)
+            else:
+                assert model.last_features is None and fresh.last_features is None
+
+    def test_non_finite_input_rejected_before_any_push(self):
+        bank = spectral_filters(16, 2)
+        model = StuModel(bank, projections=np.ones((2, 2, 2)),
+                         engine_kind="continuous", max_steps=8)
+        model.step(np.array([0.5, -0.5]))
+        with pytest.raises(ValueError):
+            model.step(np.array([0.5, np.nan]))
+        assert [eng.steps for eng in model._engines] == [1] * 4
+
     def test_tensordot_engine_count_is_dimension(self):
         bank = spectral_filters(16, 4)
         model = StuModel(bank, factor_filters=np.ones((4, 3)),

@@ -22,6 +22,8 @@ Contracts below use 1-based positions; arrays are 0-based.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy import fft as _fft
 
@@ -47,6 +49,20 @@ TOLERANCE_SCALE = 1e-9
 # O(n log n) contract of the fast path holds.
 _DIRECT_MACS_PER_POINT = 24
 _DIRECT_MACS_FLOOR = 1 << 18
+
+# With leading axes, the direct path is one multiply-add per (row,
+# input, window position) through numpy's einsum, and the transform path
+# runs one transform per row of each operand and of the result. The
+# einsum ran at about 0.85 ns per multiply-add on the host above, about
+# eight times what the one-row BLAS path costs, so with leading axes a
+# multiply-add weighs this many, and the per-point budget is shared by
+# all the transforms: direct while
+#     weight * rows * macs <= max(_DIRECT_MACS_FLOOR,
+#         _DIRECT_MACS_PER_POINT / 3 * (rows_a + rows_b + rows) * n * log2(n)).
+# With 16 filters over 8 channels (128 rows), a continuous level of
+# m = 64 took 88 us through transforms against 390 us directly, and
+# the einsum wins only below m = 16. One row gives the model above.
+_BATCHED_DIRECT_WEIGHT = 8
 
 # A transform whose window is narrow next to its input goes through a
 # batch of short transforms of next_pow2(_BLOCKED_POINTS_PER_OUTPUT *
@@ -85,12 +101,15 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     Returns ``count`` values, the one at index ``q`` being
     ``sum_i a[i] * b[start+q-i]`` over all valid ``i`` -- zero beyond
     the ``len(a) + len(b) - 1`` positions of the full convolution.
-    ``a`` and ``b`` are 1-d float64 arrays and ``start >= 0``.
+    ``a`` and ``b`` are float64 arrays and ``start >= 0``. The last
+    axis is the one convolved; leading axes broadcast as in numpy, so
+    the result has shape ``broadcast(a.shape[:-1], b.shape[:-1]) +
+    (count,)``: every row of ``a`` against every row of ``b`` it meets.
 
     Only the inputs that reach the window take part: ``a`` is trimmed
     to the indices that meet a stored tap inside it and ``b`` to the
     taps the window can read. What is left is either summed directly
-    (one multiply-add per input and output) or multiplied in one
+    (one multiply-add per row, input and output) or multiplied in one
     circular transform of ``n >= max(len(a) + len(b) - 1 - start,
     start + count)`` points, the least length at which no wrapped
     term lands in the window -- or, when the window is narrow next to
@@ -99,30 +118,44 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     global _fast_conv_calls
     _fast_conv_calls += 1
     end = start + count
-    lb = b.size
+    lb = b.shape[-1]
     lo = start - lb + 1  # first input index that meets a stored tap
     if lo > 0:
-        a = a[lo:end]
+        a = a[..., lo:end]
         start -= lo
         end -= lo
-    elif a.size > end:
-        a = a[:end]
-    la = a.size
+    elif a.shape[-1] > end:
+        a = a[..., :end]
+    la = a.shape[-1]
     if lb > end:
         lb = end  # taps past the window are never read
     if count <= 0 or la == 0 or lb == 0 or start >= la + lb - 1:
-        return np.zeros(max(count, 0))
+        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(count, 0),))
+    if lb < b.shape[-1]:
+        b = b[..., :lb]
     macs = la * (count if count < lb else lb)
     n = la + lb - 1 - start
     if n < end:
         n = end
-    if macs <= _DIRECT_MACS_FLOOR or macs <= _DIRECT_MACS_PER_POINT * n * n.bit_length():
+    one_row = a.ndim == 1 and b.ndim == 1
+    if one_row:
+        rows_a = rows_b = rows = weight = 1
+    else:
+        rows_a, rows_b = a.size // la, b.size // lb
+        rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        weight = _BATCHED_DIRECT_WEIGHT
+    direct = weight * rows * macs
+    # a one-row transform call runs three transforms of n points
+    if (direct <= _DIRECT_MACS_FLOOR
+            or 3 * direct <= _DIRECT_MACS_PER_POINT * (rows_a + rows_b + rows) * n * n.bit_length()):
+        if not one_row:
+            return _direct_rows(a, b, start, count)
         seg_lo = start - la + 1
         if seg_lo >= 0 and end <= lb:
             # every window position meets all of a: a valid-mode
             # correlation of the taps it reads with a reversed
             return np.correlate(b[seg_lo:end], a[::-1])
-        full = np.convolve(a, b[:lb])
+        full = np.convolve(a, b)
         if full.size >= end:
             return full[start:end]
         out = np.zeros(count)
@@ -130,11 +163,39 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
         return out
     n_short = next_pow2(_BLOCKED_POINTS_PER_OUTPUT * count)
     if la > 2 * (n_short - count + 1) and start >= la - 1:
-        return _blocked_transform(a, b[:lb], start, count, n_short)
+        return _blocked_transform(a, b, start, count, n_short)
     n = next_pow2(n)
-    spec = _fft.rfft(a, n)
-    spec *= _fft.rfft(b[:lb], n)
-    return _fft.irfft(spec, n)[start:end]
+    spec = _product(_fft.rfft(a, n), _fft.rfft(b, n))
+    return _fft.irfft(spec, n)[..., start:end]
+
+
+def _direct_rows(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
+    """:func:`middle`'s direct path for operands with leading axes.
+
+    Output ``q`` of a row is the reversed row of ``a`` against the
+    ``len(a)`` taps ending at ``start + q``: one multiply-add per row,
+    input and output, over a sliding window of the taps, zero-padded
+    where the window reaches past them.
+    """
+    la, lb = a.shape[-1], b.shape[-1]
+    lo = start - la + 1  # the tap the first output reads with a's last input
+    width = la + count - 1
+    if lo < 0 or lo + width > lb:
+        seg = np.zeros(b.shape[:-1] + (width,))
+        first = max(lo, 0)
+        seg[..., first - lo:lb - lo] = b[..., first:]
+    else:
+        seg = b[..., lo:lo + width]
+    windows = np.lib.stride_tricks.sliding_window_view(seg, la, axis=-1)
+    return np.einsum("...qi,...i->...q", windows, a[..., ::-1])
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y``, in place in ``x`` when it already has the broadcast shape."""
+    if x.shape == y.shape or x.shape == np.broadcast_shapes(x.shape, y.shape):
+        x *= y
+        return x
+    return x * y
 
 
 def _blocked_transform(a: np.ndarray, b: np.ndarray, start: int, count: int,
@@ -147,27 +208,30 @@ def _blocked_transform(a: np.ndarray, b: np.ndarray, start: int, count: int,
     meets the window through the ``n`` taps from
     ``start - len(a) + 1 + j*block``, so its share is the valid part of
     an ``n``-point circular product. The blocks and their tap segments
-    are views, transformed in one batch each; the spectra are summed
-    before the single inverse transform.
+    are views, transformed in one batch each per row; the spectra are
+    summed before the single inverse transform.
     """
     block = n - count + 1
-    n_full, rem = divmod(a.size, block)
-    first = start - a.size + 1  # tap offset of the newest block
+    la = a.shape[-1]
+    n_full, rem = divmod(la, block)
+    first = start - la + 1  # tap offset of the newest block
     reach = first + n_full * block + count - 1  # one past the last tap a full block reads
-    if b.size < reach:
-        b = np.concatenate((b, np.zeros(reach - b.size)))
+    if b.shape[-1] < reach:
+        pad = np.zeros(b.shape[:-1] + (reach - b.shape[-1],))
+        b = np.concatenate((b, pad), axis=-1)
     # tap segments of the full blocks, oldest first like the block rows
-    segs = np.lib.stride_tricks.sliding_window_view(b[first:reach], n)
-    spec = _fft.rfft(a[rem:].reshape(n_full, block), n, axis=-1)
-    spec *= _fft.rfft(segs[(n_full - 1) * block::-block], n, axis=-1)
-    spec = spec.sum(axis=0)
+    segs = np.lib.stride_tricks.sliding_window_view(b[..., first:reach], n, axis=-1)
+    blocks = a[..., rem:].reshape(a.shape[:-1] + (n_full, block))
+    spec = _product(_fft.rfft(blocks, n, axis=-1),
+                    _fft.rfft(segs[..., (n_full - 1) * block::-block, :], n, axis=-1))
+    spec = spec.sum(axis=-2)
     if rem:
         # the oldest, partial block, right-aligned in its zero-padded slot
-        part = np.zeros(block)
-        part[block - rem:] = a[:rem]
+        part = np.zeros(a.shape[:-1] + (block,))
+        part[..., block - rem:] = a[..., :rem]
         tail = first + n_full * block
-        spec += _fft.rfft(part, n) * _fft.rfft(b[tail:tail + n], n)
-    return _fft.irfft(spec, n)[block - 1:block - 1 + count]
+        spec += _fft.rfft(part, n) * _fft.rfft(b[..., tail:tail + n], n)
+    return _fft.irfft(spec, n)[..., block - 1:block - 1 + count]
 
 
 def conv_causal_reference(u: ArrayLike, phi: Filter | ArrayLike) -> Signal:

@@ -28,22 +28,33 @@ form from the step count when ``meter`` is read, so ``push`` never
 touches them. Wall-clock measurement is the benchmark CLI's job, not
 the meters'.
 
+One engine object runs a whole stack of convolutions: the taps may
+carry leading axes (one filter per row) and so may the samples (one
+channel per entry), and each output is their numpy broadcast, e.g.
+taps (k, 1, L) over samples (d,) give (k, d) outputs, every filter over
+every channel. Such a batched engine steps with one small matrix
+product and refills its cache with one
+:func:`~streamconv.convolution.middle` call for all rows. One filter
+over scalar samples keeps the scalar step.
+
 The push methods are deliberately flat: they run once per generated
 token, so attribute traffic and tiny-array dispatch dominate the
-wall-clock of the sub-quadratic engines at practical sizes. The shared
+wall-clock of the sub-quadratic engines at practical sizes. The scalar
 step therefore writes the sample through a ``memoryview`` of the
 buffer, reads its cached slot from a list of Python floats and calls
-BLAS ``ddot`` directly. Every engine's ``push`` returns a Python float.
+BLAS ``ddot`` directly, and returns a Python float; a batched ``push``
+returns a fresh array of the engine's ``shape``.
 
-``push`` rejects a NaN or infinite sample with ``ValueError`` before
-it changes any state, as :class:`~streamconv.signal.Signal` does, so
-the engine goes on as if the sample had never been offered.
+``push`` rejects a NaN or infinite sample (any entry of it, for a
+batched engine) with ``ValueError`` before it changes any state, as
+:class:`~streamconv.signal.Signal` does, so the engine goes on as if
+the sample had never been offered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from math import isfinite as _isfinite
 
 import numpy as np
@@ -52,7 +63,7 @@ from scipy.linalg.blas import ddot as _ddot
 
 from .convolution import middle, next_pow2
 from .errors import ConfigurationError, HorizonError
-from .signal import ArrayLike, Filter, as_filter
+from .signal import ArrayLike, Filter, Signal
 
 ENGINE_KINDS = ("naive", "epoched", "continuous")
 
@@ -60,6 +71,9 @@ ENGINE_KINDS = ("naive", "epoched", "continuous")
 @dataclass
 class CostMeter:
     """Deterministic instrumentation counters.
+
+    The fields below are those of one scalar convolution; a batched
+    engine reports ``size`` times them, one share per output cell.
 
     mac_count
         Scalar multiply-adds charged by direct inner products, at the
@@ -115,31 +129,120 @@ def optimal_epoch_length(horizon: int) -> int:
     return int(math.sqrt(horizon * math.log2(horizon)) + 0.5)
 
 
+def _taps_of(phi: Filter | ArrayLike) -> np.ndarray:
+    """Read-only float64 taps: one row on the last axis, or rows of them."""
+    if isinstance(phi, Filter):
+        return phi.taps_array()
+    taps = np.array(phi.values if isinstance(phi, Signal) else phi, dtype=np.float64)
+    if taps.ndim == 0:
+        taps = taps.reshape(1)
+    if 0 in taps.shape[:-1]:
+        raise ConfigurationError(f"taps have an empty leading axis: shape {taps.shape}")
+    if not np.isfinite(taps).all():
+        raise ValueError("filter taps must be finite (no NaN/Inf)")
+    taps.setflags(write=False)
+    return taps
+
+
+def _layout(lead: tuple, sample: tuple) -> tuple:
+    """Broadcast the taps' leading shape with the sample shape.
+
+    Returns the output ``shape``, its axes ordered as (shared,
+    taps-only, sample-only) (``perm``), and the three group sizes ``(S,
+    F, G)``: an axis along which both the taps and the samples vary is
+    shared, and so is one along which neither does. Taps then lay out as
+    S x F rows and samples as S x G, so one step is S matrix products
+    of (F, n) by (n, G).
+    """
+    n = max(len(lead), len(sample))
+    lt = (1,) * (n - len(lead)) + lead
+    ls = (1,) * (n - len(sample)) + sample
+    groups = ([], [], [])
+    for i in range(n):
+        if min(lt[i], ls[i]) < 1 or lt[i] != ls[i] and min(lt[i], ls[i]) > 1:
+            raise ConfigurationError(
+                f"taps {lead} x L do not broadcast with samples {sample}")
+        taps_vary, samples_vary = lt[i] > 1, ls[i] > 1
+        groups[0 if taps_vary == samples_vary else 1 if taps_vary else 2].append(i)
+    shape = tuple(max(lt[i], ls[i]) for i in range(n))
+    perm = tuple(groups[0] + groups[1] + groups[2])
+    sizes = tuple(math.prod(shape[i] for i in g) for g in groups)
+    return shape, perm, sizes
+
+
 class OnlineConvEngine:
     """Common state and contract for the streaming engines.
+
+    ``phi`` holds the taps on its last axis: a :class:`Filter` or a 1-d
+    array for one filter, or an array of shape ``(*lead, L)`` for a
+    stack of filters. Each pushed sample has shape ``sample_shape``
+    (the taps' leading shape by default), and each output the numpy
+    broadcast of the two: taps ``(k, 1, L)`` over samples ``(d,)`` give
+    ``(k, d)`` outputs, every filter over every channel; taps ``(d, L)``
+    over samples ``(d,)`` give ``(d,)``, filter j over channel j.
+
+    One filter over scalar samples is the scalar engine: ``push``
+    returns a Python float, and the blocked step is one BLAS ``ddot``.
+    Any other shape is a batched engine: ``push`` takes an array of
+    ``sample_shape`` and returns a fresh array of ``shape``, and a step
+    is one small matrix product. That choice is made once, at
+    construction, from ``shape == ()``; it also sets the layout of the
+    buffer and of the cached slots. The meter counts every output
+    cell: ``size`` times the scalar engine's counters.
 
     A single instance is single-owner mutable state: never push to one
     instance from two threads. Distinct instances are independent.
     """
 
-    __slots__ = ("filter", "horizon", "_taps", "_ntaps", "_buf", "_t")
+    __slots__ = ("taps", "horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
+                 "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_tfirst", "_zeros",
+                 "push", "_past", "_mtaps", "_in")
 
     kind = "abstract"
-    # attributes that alias the buffers; a pickled or copied state
-    # leaves them out, and _bind rebuilds them on the restored buffers
-    _aliases: tuple = ()
+    # attributes that alias the buffers or the instance; a pickled or
+    # copied state leaves them out, and _bind rebuilds them
+    _aliases: tuple = ("push", "_past", "_mtaps", "_in")
 
-    def __init__(self, phi: Filter | ArrayLike, horizon: int):
+    def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
         horizon = int(horizon)
         if horizon < 1:
             raise ConfigurationError("horizon must be a positive integer")
-        self.filter = as_filter(phi)
+        taps = _taps_of(phi)
+        self.taps = taps
         self.horizon = horizon
-        taps = self.filter.taps_array()
-        self._taps = taps
-        self._ntaps = taps.size
-        self._buf = np.zeros(horizon)
+        self._ntaps = taps.shape[-1]
         self._t = 0
+        lead = taps.shape[:-1]
+        sample_shape = lead if sample_shape is None else tuple(int(n) for n in sample_shape)
+        if not (lead or sample_shape):
+            # the scalar engine: 1-d taps and buffer, nothing to lay out
+            self.shape = self.sample_shape = self._rows = self._perm = ()
+            self._oshape = self._oinv = ()
+            self._tfirst = (0,)
+            self.size = 1
+            self._zeros = None
+            self._taps = taps
+            self._buf = np.zeros(horizon)
+            return
+        shape, perm, rows = _layout(lead, sample_shape)
+        self.shape = shape
+        self.sample_shape = sample_shape
+        self.size = math.prod(shape)
+        self._rows = rows
+        self._perm = perm
+        # rows (S, F, G) -> shape: a reshape to the output axes in
+        # layout order, then their inverse permutation
+        self._oshape = tuple(shape[i] for i in perm)
+        self._oinv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        # middle's (S, F, G, n) windows -> (n, S, F, G), the cache's layout
+        self._tfirst = (3, 0, 1, 2)
+        self._zeros = np.zeros(math.prod(sample_shape))
+        # taps (S, F, L) and a buffer (S, G, horizon), whose (S, 1, G, t)
+        # view middle broadcasts against the taps' (S, F, 1, L) view
+        lt = (1,) * (len(shape) - len(lead)) + lead
+        full = taps.reshape(lt + (self._ntaps,)).transpose(perm + (len(shape),))
+        self._taps = full.reshape(rows[:2] + (self._ntaps,)).copy()
+        self._buf = np.zeros((rows[0], rows[2], horizon))
 
     @property
     def steps(self) -> int:
@@ -149,24 +252,64 @@ class OnlineConvEngine:
     @property
     def meter(self) -> CostMeter:
         """Counters after the pushes so far (see :class:`CostMeter`)."""
-        raise NotImplementedError
+        return CostMeter(*(self.size * v for v in astuple(self._meter_one())))
 
-    def push(self, sample: float) -> float:
+    def _meter_one(self) -> CostMeter:
+        """One scalar engine's counters after the same pushes."""
         raise NotImplementedError
 
     def push_many(self, samples) -> np.ndarray:
-        out = np.empty(len(samples))
+        out = np.empty((len(samples),) + self.shape)
         push = self.push
         for i, x in enumerate(samples):
             out[i] = push(x)
         return out
 
     def reset(self) -> None:
-        self._buf[:] = 0.0
+        self._buf[...] = 0.0
         self._t = 0
 
     def _bind(self) -> None:
-        """(Re)build the attributes named in ``_aliases``."""
+        """(Re)build the attributes named in ``_aliases``.
+
+        ``push`` is the scalar step on Python floats or the batched step
+        on (S, F, G) rows, as ``shape`` decided at construction.
+        ``_past`` and ``_mtaps`` are the buffer and the taps as
+        :func:`~streamconv.convolution.middle` reads them, and ``_in``
+        the buffer's (horizon, *sample_shape) view that a batched sample
+        is written through.
+        """
+        if not self.shape:
+            self.push = self._push_scalar
+            self._past, self._mtaps = self._buf, self._taps
+            return
+        self.push = self._push_batched
+        self._past, self._mtaps = self._buf[:, None], self._taps[:, :, None]
+        n, sample = len(self.shape), self.sample_shape
+        ls = (1,) * (n - len(sample)) + sample
+        view = self._buf.reshape(tuple(ls[i] for i in self._perm) + (self.horizon,))
+        view = view.transpose(self._oinv + (n,))[(0,) * (n - len(sample))]
+        self._in = np.moveaxis(view, -1, 0)
+
+    def _accept(self, sample) -> int:
+        """Check a batched sample and write it into slot t; return t."""
+        t = self._t
+        if t >= self.horizon:
+            raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
+        x = np.asarray(sample, dtype=np.float64)
+        if x.shape != self.sample_shape:
+            raise ValueError(f"sample must have shape {self.sample_shape}, got {x.shape}")
+        # x . 0 is NaN iff some entry of x is NaN or infinite
+        if not _isfinite(_ddot(x.ravel(), self._zeros)):
+            raise ValueError(f"sample must be finite (no NaN/Inf), got {sample!r}")
+        self._in[t] = x
+        return t
+
+    def _to_user(self, rows: np.ndarray) -> np.ndarray:
+        """Rows (*lead, S, F, G) as an array of shape ``lead + shape``."""
+        k = rows.ndim - len(self._rows)
+        inv = tuple(range(k)) + tuple(k + i for i in self._oinv)
+        return rows.reshape(rows.shape[:k] + self._oshape).transpose(inv)
 
     def __getstate__(self) -> dict:
         names = (n for cls in type(self).__mro__ for n in getattr(cls, "__slots__", ()))
@@ -182,23 +325,24 @@ class NaiveEngine(OnlineConvEngine):
     """Direct inner product at each step.
 
     No auxiliary memory beyond the inputs and the filter; total work
-    over a full horizon of L pushes is L(L+1)/2 multiply-adds.
+    over a full horizon of L pushes is L(L+1)/2 multiply-adds per
+    output cell.
     """
 
     __slots__ = ("_rtaps",)
 
     kind = "naive"
 
-    def __init__(self, phi: Filter | ArrayLike, horizon: int):
-        super().__init__(phi, horizon)
-        self._rtaps = self._taps[::-1].copy()
+    def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
+        super().__init__(phi, horizon, sample_shape)
+        self._rtaps = self._taps[..., ::-1].copy()
+        self._bind()
 
-    @property
-    def meter(self) -> CostMeter:
+    def _meter_one(self) -> CostMeter:
         t = self._t
         return CostMeter(t * (t + 1) // 2, 0, 0, 0)
 
-    def push(self, sample: float) -> float:
+    def _push_scalar(self, sample: float) -> float:
         t = self._t
         if t >= self.horizon:
             raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
@@ -215,6 +359,15 @@ class NaiveEngine(OnlineConvEngine):
             return float(_dot(buf[:t], self._rtaps[m - t:]))
         return float(_dot(buf[t - m:t], self._rtaps))
 
+    def _push_batched(self, sample) -> np.ndarray:
+        t = self._accept(sample) + 1
+        self._t = t
+        m = self._ntaps
+        w = t if t < m else m
+        # reversed taps (S, F, w) against the last w inputs (S, w, G)
+        acc = self._rtaps[..., m - w:] @ self._buf[..., t - w:t].mT
+        return acc.reshape(self._oshape).transpose(self._oinv)
+
 
 class _BlockedEngine(OnlineConvEngine):
     """The step shared by the epoched and continuous engines.
@@ -223,38 +376,44 @@ class _BlockedEngine(OnlineConvEngine):
     step) the output is the cached slot, which holds the contribution of
     every input before the block, plus the within-block sum: the block's
     first tau inputs against the first tau taps, reversed. That is one
-    buffer write, one read from a list and one inner product. After the
-    block's last step, ``_next_block(t)`` returns the cached slots
-    t+1 .. t+B of the next one.
+    buffer write, one slot read and one inner product (scalar) or one
+    matrix product (batched). After the block's last step,
+    ``_next_block(t)`` returns the cached slots t+1 .. t+B of the next
+    one, on the first axis of an array.
     """
 
     __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_bufv", "_rtaps_b")
 
-    _aliases = ("_bufv", "_blk")
+    _aliases = OnlineConvEngine._aliases + ("_bufv", "_blk")
 
-    def __init__(self, phi: Filter | ArrayLike, horizon: int, block: int):
-        super().__init__(phi, horizon)
+    def __init__(self, phi: Filter | ArrayLike, horizon: int, block: int, cache_len: int,
+                 sample_shape=None):
+        super().__init__(phi, horizon, sample_shape)
         self._last = block - 1
         # r[x] = phi_{B-x} (1-based, zero past the stored taps): the
         # first tau inputs of the block against r[B-tau:] are the
         # within-block sum at phase tau
-        r = np.zeros(block)
+        taps = self._taps
+        r = np.zeros(taps.shape[:-1] + (block,))
         n = min(block, self._ntaps)
-        r[block - n:] = self._taps[:n][::-1]
+        r[..., block - n:] = taps[..., :n][..., ::-1]
         self._rtaps_b = r
-        self._start(0, [0.0] * block)
+        # slot s of the cache at index s - 1, each slot one (S, F, G) row
+        self._cache = np.zeros((cache_len,) + self._rows)
+        self._first_block()
+        self._bind()
 
     @property
     def cache(self) -> np.ndarray:
-        """Copy of the current cache (slot s at index s-1)."""
-        return self._cache.copy()
+        """Copy of the current cache (slot s at index s-1), each slot of ``shape``."""
+        return self._to_user(self._cache).copy()
 
     def reset(self) -> None:
         super().reset()
-        self._cache[:] = 0.0
-        self._start(0, [0.0] * (self._last + 1))
+        self._cache[...] = 0.0
+        self._first_block()
 
-    def push(self, sample: float) -> float:
+    def _push_scalar(self, sample: float) -> float:
         t = self._t
         if t >= self.horizon:
             raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
@@ -270,18 +429,39 @@ class _BlockedEngine(OnlineConvEngine):
             self._start(t, self._next_block(t))
         return acc
 
-    def _next_block(self, t: int) -> list:
-        """Cached slots t+1 .. t+B as floats, after the t-th push."""
+    def _push_batched(self, sample) -> np.ndarray:
+        t = self._accept(sample)
+        p = t - self._e0
+        # (S, F, tau) @ (S, tau, G): r[B-tau:] against the block's first tau inputs
+        acc = self._rtaps_b[..., self._last - p:] @ self._blk[..., :p + 1].mT
+        acc += self._slots[p]
+        t += 1
+        self._t = t
+        if p == self._last:
+            self._start(t, self._next_block(t))
+        return acc.reshape(self._oshape).transpose(self._oinv)
+
+    def _next_block(self, t: int) -> np.ndarray:
+        """Cached slots t+1 .. t+B on the first axis, after the t-th push."""
         raise NotImplementedError
 
-    def _start(self, t: int, slots: list) -> None:
+    def _start(self, t: int, slots: np.ndarray) -> None:
+        # Python floats for the scalar step, (S, F, G) rows for the batched one
         self._e0 = t
-        self._slots = slots
-        self._bind()
+        self._slots = slots if self.shape else slots.tolist()
+        self._blk = self._buf[..., t:t + self._last + 1]
+
+    def _first_block(self) -> None:
+        # nothing is cached yet: the scalar step's zeros are built as a
+        # list, which costs less than converting the cache's first slots
+        self._e0 = 0
+        self._slots = self._cache[:self._last + 1] if self.shape else [0.0] * (self._last + 1)
+        self._blk = self._buf[..., :self._last + 1]
 
     def _bind(self) -> None:
+        super()._bind()
         self._bufv = memoryview(self._buf)
-        self._blk = self._buf[self._e0:self._e0 + self._last + 1]
+        self._blk = self._buf[..., self._e0:self._e0 + self._last + 1]
 
 
 class EpochedEngine(_BlockedEngine):
@@ -300,18 +480,17 @@ class EpochedEngine(_BlockedEngine):
 
     kind = "epoched"
 
-    def __init__(self, phi: Filter | ArrayLike, horizon: int, epoch_len: int | None = None):
+    def __init__(self, phi: Filter | ArrayLike, horizon: int, epoch_len: int | None = None,
+                 sample_shape=None):
         if epoch_len is None:
             epoch_len = optimal_epoch_length(horizon) if int(horizon) >= 2 else 1
         epoch_len = int(epoch_len)
         if epoch_len < 1:
             raise ConfigurationError("epoch length must be >= 1")
         self.epoch_len = epoch_len
-        super().__init__(phi, horizon, epoch_len)
-        self._cache = np.zeros(epoch_len)
+        super().__init__(phi, horizon, epoch_len, epoch_len, sample_shape)
 
-    @property
-    def meter(self) -> CostMeter:
+    def _meter_one(self) -> CostMeter:
         t, k = self._t, self.epoch_len
         q, r = divmod(t, k)
         ff = 0
@@ -322,15 +501,14 @@ class EpochedEngine(_BlockedEngine):
         mac = q * (k * (k + 1) // 2) + r * (r + 1) // 2  # sum of phases
         return CostMeter(mac, ff, q, k)
 
-    def _next_block(self, t: int) -> list:
+    def _next_block(self, t: int) -> np.ndarray:
         """Refill the cache with future positions t+1 .. t+K of [u*phi]."""
-        k = self.epoch_len
         cache = self._cache
-        cache[:] = 0.0
-        n = min(k, self.horizon - t)  # the slots a later push reads
+        n = max(0, min(self.epoch_len, self.horizon - t))  # the slots a later push reads
         if n > 0:
-            cache[:n] = middle(self._buf[:t], self._taps, t, n)
-        return cache.tolist()
+            cache[:n] = middle(self._past[..., :t], self._mtaps, t, n).transpose(self._tfirst)
+        cache[n:] = 0.0
+        return cache
 
 
 # the continuous engine's block B; see ContinuousEngine for the choice
@@ -369,13 +547,11 @@ class ContinuousEngine(_BlockedEngine):
 
     kind = "continuous"
 
-    def __init__(self, phi: Filter | ArrayLike, horizon: int):
-        super().__init__(phi, horizon, _BLOCK)
+    def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
+        super().__init__(phi, horizon, _BLOCK, int(horizon), sample_shape)
         self.b = self.horizon.bit_length() - 1  # floor(log2 horizon)
-        self._cache = np.zeros(self.horizon)
 
-    @property
-    def meter(self) -> CostMeter:
+    def _meter_one(self) -> CostMeter:
         # the untiled schedule's nominal charge. ff_cost: sum over steps
         # s of (1 v k) * 2**k with k = k_of_t(s, b); t // 2**k -
         # t // 2**(k+1) steps have exactly k trailing zero bits
@@ -385,7 +561,7 @@ class ContinuousEngine(_BlockedEngine):
             ff += ((t >> k) - (t >> (k + 1))) * (max(1, k) << k)
         return CostMeter(t, ff, 0, self.horizon)
 
-    def _next_block(self, t: int) -> list:
+    def _next_block(self, t: int) -> np.ndarray:
         # below the horizon t < 2**(b+1), so k(t) is not capped and m is
         # the lowest set bit of t. The last m inputs against taps
         # 2..2m: positions m..2m-1 of their m x 2m product, cut to the
@@ -394,8 +570,8 @@ class ContinuousEngine(_BlockedEngine):
         n = min(m, self.horizon - t)
         if n > 0:
             ahead = self._cache[t:t + n]
-            ahead += middle(self._buf[t - m:t], self._taps, m, n)
-        return self._cache[t:t + _BLOCK].tolist()
+            ahead += middle(self._past[..., t - m:t], self._mtaps, m, n).transpose(self._tfirst)
+        return self._cache[t:t + _BLOCK]
 
 
 def make_engine(
@@ -403,14 +579,18 @@ def make_engine(
     phi: Filter | ArrayLike,
     horizon: int,
     epoch_len: int | None = None,
+    sample_shape=None,
 ) -> OnlineConvEngine:
-    """Build an engine by kind name ("naive", "epoched", "continuous")."""
+    """Build an engine by kind name ("naive", "epoched", "continuous").
+
+    ``phi`` and ``sample_shape`` are as for :class:`OnlineConvEngine`.
+    """
     if kind == "naive":
-        return NaiveEngine(phi, horizon)
+        return NaiveEngine(phi, horizon, sample_shape)
     if kind == "epoched":
-        return EpochedEngine(phi, horizon, epoch_len)
+        return EpochedEngine(phi, horizon, epoch_len, sample_shape)
     if kind == "continuous":
-        return ContinuousEngine(phi, horizon)
+        return ContinuousEngine(phi, horizon, sample_shape)
     raise ConfigurationError(
         f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}"
     )

@@ -9,11 +9,13 @@ These filters are fixed and data-independent: only the projection
 matrices of the predictor are learned.
 
 The predictor comes in two flavors. Full mode keeps one projection
-matrix per filter and needs one scalar convolution per (filter, input
-dimension) pair each step. Tensordot mode factors the stacked
+matrix per filter and convolves every input dimension with every
+filter, k x d_in outputs each step. Tensordot mode factors the stacked
 projections into a (filters x dims) and a (dims x dims) piece, mixes
-the filters into per-dimension kernels, and needs only one scalar
-convolution per dimension; it requires matching input/output widths.
+the filters into per-dimension kernels, and convolves each dimension
+with its own kernel, d outputs each step; it requires matching
+input/output widths. Both run all their convolutions in one batched
+engine, pushed once per step.
 
 The predictor exists to exercise the streaming engines under a
 realistic multi-channel workload, not to chase downstream quality.
@@ -22,13 +24,11 @@ realistic multi-channel workload, not to chase downstream quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from .engines import make_engine
 from .errors import ConfigurationError, SequenceFormatError
-from .signal import Filter
 
 # Dense symmetric eigendecompositions are capped at this order; larger
 # banks are rejected rather than silently slow.
@@ -154,16 +154,16 @@ def load_filter_bank(path: str) -> SpectralFilterBank:
 class StuModel:
     """Multi-channel convolutional predictor over a filter bank.
 
-    Full mode: prediction ``yhat_t = sum_i M_i <phi_i, recent inputs>``
-    with one engine per (filter, input-dimension) pair. Tensordot
-    mode: inputs are first projected by the square factor, then each
-    dimension runs one engine whose kernel is the filter mix for that
-    dimension; the step output is the engines' elementwise result.
+    Full mode: prediction ``yhat_t = sum_i M_i <phi_i, recent inputs>``,
+    from features (k, d_in): every filter over every input dimension.
+    Tensordot mode: inputs are first projected by the square factor,
+    then dimension j is convolved with the filter mix for that
+    dimension; the step output is that (d,) result.
 
-    The engines form one flat list. In full mode engine ``j`` runs
-    filter ``j // d_in`` over input dimension ``j % d_in``; in
-    tensordot mode engine ``j`` runs mixed kernel ``j`` over projected
-    input ``j``. A model instance is single-owner mutable state.
+    Either way one batched engine (``engine``) runs all the
+    convolutions: taps (k, 1, L) over samples (d_in,) in full mode,
+    taps (d, L) over samples (d,) in tensordot mode, one ``push`` per
+    step. A model instance is single-owner mutable state.
     """
 
     def __init__(
@@ -179,8 +179,7 @@ class StuModel:
         self.bank = bank
         self.max_steps = int(max_steps)
         self.engine_kind = engine_kind
-        k, length = bank.count, bank.length
-        ctx = max(length, self.max_steps)
+        k = bank.count
 
         if projections is not None:
             if factor_filters is not None or factor_mix is not None:
@@ -193,7 +192,7 @@ class StuModel:
             self.mode = "full"
             self.projections = projections
             self.d_out, self.d_in = projections.shape[1], projections.shape[2]
-            kernels, repeats = bank.filters, self.d_in
+            taps = bank.filters.T[:, None, :]  # (k, 1, L): every filter, every dimension
         elif factor_filters is not None and factor_mix is not None:
             factor_filters = np.array(factor_filters, dtype=np.float64)
             factor_mix = np.array(factor_mix, dtype=np.float64)
@@ -209,39 +208,31 @@ class StuModel:
             self.factor_mix = factor_mix
             self.d_out = self.d_in = d
             self.mixed_kernels = bank.filters @ factor_filters  # (L, d): kernel per dimension
-            kernels, repeats = self.mixed_kernels, 1
+            taps = self.mixed_kernels.T  # (d, L): kernel j for dimension j
         else:
             raise ConfigurationError("pass either projections or both factors")
-        self._engines = [
-            make_engine(engine_kind, Filter(kernels[:, j // repeats], ctx), self.max_steps)
-            for j in range(kernels.shape[1] * repeats)
-        ]
+        self.engine = make_engine(engine_kind, taps, self.max_steps,
+                                  sample_shape=(self.d_in,))
         self._last_features: np.ndarray | None = None
 
     def reset(self) -> None:
-        for eng in self._engines:
-            eng.reset()
+        self.engine.reset()
         self._last_features = None
 
     def step(self, u_t: np.ndarray) -> np.ndarray:
-        """Advance one time step and return the prediction vector."""
+        """Advance one time step and return the prediction vector.
+
+        A NaN or infinite engine input is rejected with ``ValueError``
+        by the engine's ``push``, before the model changes any state.
+        """
         u_t = np.asarray(u_t, dtype=np.float64)
         if u_t.shape != (self.d_in,):
             raise ConfigurationError(
                 f"expected input of shape ({self.d_in},), got {u_t.shape}"
             )
-        full = self.mode == "full"
-        inputs = (u_t if full else self.factor_mix @ u_t).tolist()
-        if not all(map(isfinite, inputs)):
-            # checked here, not by the first push that meets one, so
-            # no engine has advanced when the step is rejected
-            raise ValueError("engine inputs must be finite (no NaN/Inf)")
-        if full:
-            inputs *= self.bank.count  # engine j reads input j % d_in
-        outs = np.array([eng.push(x) for eng, x in zip(self._engines, inputs)])
-        if not full:
-            return outs
-        feats = outs.reshape(self.bank.count, self.d_in)
+        if self.mode != "full":
+            return self.engine.push(self.factor_mix @ u_t)
+        feats = self.engine.push(u_t)
         self._last_features = feats
         return np.einsum("ioc,ic->o", self.projections, feats)
 

@@ -209,6 +209,49 @@ class TestMiddle:
         middle(np.ones(3), np.ones(3), 0, 0)
         assert conv.transform_calls() - before == 3
 
+    # leading shapes of a and b: every filter over every channel, row
+    # by row, one operand shared, and axes that broadcast both ways
+    LEADS = [((1, 3), (4, 1)), ((3,), (3,)), ((2,), ()), ((), (3,)),
+             ((2, 1, 3), (4, 1))]
+
+    @pytest.mark.parametrize("model", PATHS)
+    def test_leading_axes_match_row_by_row(self, monkeypatch, model):
+        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model[0])
+        monkeypatch.setattr(conv, "_DIRECT_MACS_FLOOR", model[1])
+        rng = np.random.default_rng(37)
+        for trial in range(150):
+            lead_a, lead_b = self.LEADS[trial % len(self.LEADS)]
+            a = rng.uniform(-1, 1, lead_a + (int(rng.integers(0, 300)),))
+            b = rng.uniform(-1, 1, lead_b + (int(rng.integers(0, 300)),))
+            count = int(rng.integers(0, 40))
+            start = int(rng.integers(0, a.shape[-1] + b.shape[-1] + 10))
+            lead = np.broadcast_shapes(lead_a, lead_b)
+            before = conv.transform_calls()
+            got = middle(a, b, start, count)
+            assert conv.transform_calls() - before == 1  # one call for all rows
+            assert got.shape == lead + (count,)
+            rows_a = np.broadcast_to(a, lead + a.shape[-1:])
+            rows_b = np.broadcast_to(b, lead + b.shape[-1:])
+            for index in np.ndindex(lead):
+                want = middle(rows_a[index].copy(), rows_b[index].copy(), start, count)
+                assert rel_err(got[index], want) < 1e-12, (index, a.shape, b.shape,
+                                                           start, count)
+
+    def test_leading_axes_on_the_blocked_path(self, monkeypatch):
+        calls = []
+        blocked = conv._blocked_transform
+        monkeypatch.setattr(conv, "_blocked_transform",
+                            lambda *args: calls.append(args[0].shape) or blocked(*args))
+        rng = np.random.default_rng(43)
+        t, k = 3000, 64
+        u = rng.uniform(-1, 1, (1, 3, t))
+        taps = rng.uniform(-1, 1, (4, 1, t + k))
+        got = middle(u, taps, t, k)
+        assert calls == [(1, 3, t)] and got.shape == (4, 3, k)
+        for i, c in np.ndindex(4, 3):
+            want = np.array([np.dot(u[0, c], taps[i, 0, t + q:q:-1]) for q in range(k)])
+            assert rel_err(got[i, c], want) < 1e-12
+
 
 class TestFutureFill:
     def test_place_value_slice(self):

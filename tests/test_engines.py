@@ -368,3 +368,143 @@ class TestCrossEngine:
             a.push_many(np.zeros(64))
             b.push_many(np.linspace(-1, 1, 64))
             assert a.meter == b.meter
+
+
+
+@st.composite
+def batched_cases(draw):
+    """A batched engine configuration and its inputs.
+
+    ``outer``: taps (F, 1, L) over samples (C,), every filter over every
+    channel; otherwise taps (F, L) over samples (F,), filter j over
+    channel j.
+    """
+    filters = draw(st.integers(1, 4), label="F")
+    outer = draw(st.booleans(), label="outer")
+    channels = draw(st.integers(1, 3), label="C") if outer else filters
+    length = draw(st.integers(1, 300), label="length")
+    ntaps = draw(st.sampled_from([0, 1, 2, 3, length]), label="ntaps")
+    epoch = draw(st.sampled_from([1, length]) | st.integers(1, length), label="K")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31), label="seed"))
+    taps = rng.uniform(-1, 1, (filters, ntaps))
+    u = rng.uniform(-1, 1, (length, channels))
+    return taps, outer, u, epoch
+
+
+def batched_engine(kind, taps, outer, u, epoch):
+    if outer:
+        return make_engine(kind, taps[:, None, :], len(u), epoch, sample_shape=u.shape[1:])
+    return make_engine(kind, taps, len(u), epoch)
+
+
+def cells(taps, outer, u):
+    """(output index, taps, input stream) of every output cell."""
+    if outer:
+        return [((i, c), taps[i], u[:, c])
+                for i in range(taps.shape[0]) for c in range(u.shape[1])]
+    return [((i,), taps[i], u[:, i]) for i in range(taps.shape[0])]
+
+
+class TestBatched:
+    """One engine over stacked filters and channels against scalar engines."""
+
+    @given(batched_cases())
+    @settings(max_examples=60, deadline=None)
+    @example((np.ones((4, 300)), True, np.ones((300, 3)), 1))
+    def test_cells_match_scalar_engines(self, case):
+        # Within 1e-12 of each scalar engine, not bitwise: the batched
+        # step sums with a matrix product instead of a dot product, and
+        # its boundaries may take middle's transform path where one row
+        # is summed directly.
+        taps, outer, u, epoch = case
+        for kind in ENGINE_KINDS:
+            eng = batched_engine(kind, taps, outer, u, epoch)
+            got = eng.push_many(u)
+            assert got.shape == (len(u),) + eng.shape
+            for index, row, stream in cells(taps, outer, u):
+                single = make_engine(kind, row, len(u), epoch)
+                want = single.push_many(stream)
+                cell = got[(slice(None),) + index]
+                tol = 1e-12 * (1.0 + np.max(np.abs(want)))
+                assert np.max(np.abs(cell - want)) <= tol, (kind, index)
+            # one share of every counter per output cell
+            assert eng.meter == CostMeter(
+                *(eng.size * v for v in single.meter.as_dict().values())), kind
+            with pytest.raises(HorizonError):
+                eng.push(u[0])
+
+    @given(batched_cases(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_channel_rejected_without_state_change(self, case, bad, data):
+        taps, outer, u, epoch = case
+        at = data.draw(st.integers(0, len(u) - 1), label="at")
+        channel = data.draw(st.integers(0, u.shape[1] - 1), label="channel")
+        poisoned = u[at].copy()
+        poisoned[channel] = bad
+        for kind in ENGINE_KINDS:
+            want = batched_engine(kind, taps, outer, u, epoch).push_many(u)
+            eng = batched_engine(kind, taps, outer, u, epoch)
+            head = eng.push_many(u[:at])
+            with pytest.raises(ValueError):
+                eng.push(poisoned)
+            assert eng.steps == at, kind
+            got = np.concatenate([head, eng.push_many(u[at:])])
+            np.testing.assert_array_equal(got, want, err_msg=kind)
+
+    @given(batched_cases(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_copy_pickle_and_reset_replay_bitwise(self, case, data):
+        taps, outer, u, epoch = case
+        at = data.draw(st.integers(0, len(u)), label="at")
+        for kind in ENGINE_KINDS:
+            fresh = batched_engine(kind, taps, outer, u, epoch)
+            want = fresh.push_many(u)
+            eng = batched_engine(kind, taps, outer, u, epoch)
+            head = eng.push_many(u[:at])  # mid-block for most draws
+            forks = [copy.deepcopy(eng), pickle.loads(pickle.dumps(eng))]
+            for fork in forks:
+                np.testing.assert_array_equal(fork.push_many(u[at:]), want[at:])
+                assert fork.meter == fresh.meter
+            np.testing.assert_array_equal(head, want[:at])
+            eng.reset()
+            assert eng.steps == 0
+            np.testing.assert_array_equal(eng.push_many(u), want, err_msg=kind)
+            assert eng.meter == fresh.meter
+
+    def test_scalar_and_batched_push_types(self):
+        taps = np.random.default_rng(3).uniform(-1, 1, (2, 1, 70))
+        for kind in ENGINE_KINDS:
+            scalar = make_engine(kind, taps[0, 0], 70)
+            assert scalar.shape == () and type(scalar.push(0.5)) is float
+            eng = make_engine(kind, taps, 70, sample_shape=(3,))
+            out = eng.push(np.array([0.5, -1.0, 2.0]))
+            assert eng.shape == (2, 3) and out.shape == (2, 3)
+            # a fresh array each step, not a view of the engine's state
+            before = out.copy()
+            eng.push(np.ones(3))
+            np.testing.assert_array_equal(out, before)
+
+    def test_axes_in_any_order_broadcast(self):
+        # taps vary along axes 0 and 2, samples along 1 and 2
+        rng = np.random.default_rng(9)
+        taps = rng.uniform(-1, 1, (2, 1, 3, 40))
+        u = rng.uniform(-1, 1, (40, 4, 3))
+        for kind in ENGINE_KINDS:
+            eng = make_engine(kind, taps, 40, sample_shape=(4, 3))
+            got = eng.push_many(u[:33])
+            assert got.shape == (33, 2, 4, 3)
+            for i, c, j in np.ndindex(2, 4, 3):
+                single = make_engine(kind, taps[i, 0, j], 40)
+                want = single.push_many(u[:33, c, j])
+                np.testing.assert_allclose(got[:, i, c, j], want, rtol=0, atol=1e-12)
+                if kind != "naive":  # the cache slots of every cell, in the same layout
+                    np.testing.assert_allclose(eng.cache[:, i, c, j], single.cache,
+                                               rtol=0, atol=1e-12)
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(ConfigurationError):
+            make_engine("naive", np.ones((3, 8)), 8, sample_shape=(2,))
+        eng = make_engine("continuous", np.ones((3, 8)), 8)
+        with pytest.raises(ValueError):
+            eng.push(np.ones(2))
+        assert eng.steps == 0

@@ -186,9 +186,9 @@ class TestStuModel:
             model.step(us[t])
         single = make_engine(kind, Filter(bank.filter_at(0), steps), steps)
         single.push_many(us[:, 0])
-        assert len(model._engines) == k * d_in
+        assert model.engine.shape == (k, d_in)
         for name in CostMeter().as_dict():
-            total = sum(getattr(eng.meter, name) for eng in model._engines)
+            total = getattr(model.engine.meter, name)
             assert total == k * d_in * getattr(single.meter, name), name
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -223,13 +223,20 @@ class TestStuModel:
         model.step(np.array([0.5, -0.5]))
         with pytest.raises(ValueError):
             model.step(np.array([0.5, np.nan]))
-        assert [eng.steps for eng in model._engines] == [1] * 4
+        assert model.engine.shape == (2, 2)
+        assert model.engine.steps == 1
 
     def test_tensordot_engine_count_is_dimension(self):
         bank = spectral_filters(16, 4)
         model = StuModel(bank, factor_filters=np.ones((4, 3)),
                          factor_mix=np.eye(3), max_steps=8)
-        assert len(model._engines) == 3
+        assert model.engine.shape == (3,)
+        for u in np.random.default_rng(5).uniform(-1, 1, (8, 3)):
+            model.step(u)
+        single = make_engine("naive", Filter(model.mixed_kernels[:, 0], 16), 8)
+        single.push_many(np.zeros(8))
+        assert model.engine.meter == CostMeter(
+            *(3 * v for v in single.meter.as_dict().values()))
 
     def test_dimension_mismatch_rejected(self):
         bank = spectral_filters(16, 2)

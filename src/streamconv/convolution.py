@@ -75,6 +75,13 @@ _BATCHED_DIRECT_WEIGHT = 8
 # about 120 ms with one long transform each.
 _BLOCKED_POINTS_PER_OUTPUT = 4
 
+# With leading axes there is one inverse transform per output row, and
+# those dominate a rebuild: 16 filters over 8 channels are 128 inverse
+# transforms against 8 + 16 forward ones per block. So a batched window
+# takes the blocked path as soon as its input holds one full block, with
+# blocks of next_pow2(_BATCHED_POINTS_PER_OUTPUT * count) points.
+_BATCHED_POINTS_PER_OUTPUT = 2
+
 _fast_conv_calls = 0
 
 
@@ -161,8 +168,13 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
         out = np.zeros(count)
         out[:full.size - start] = full[start:]
         return out
-    n_short = next_pow2(_BLOCKED_POINTS_PER_OUTPUT * count)
-    if la > 2 * (n_short - count + 1) and start >= la - 1:
+    if one_row:
+        n_short = next_pow2(_BLOCKED_POINTS_PER_OUTPUT * count)
+        blocked = la > 2 * (n_short - count + 1)
+    else:
+        n_short = next_pow2(_BATCHED_POINTS_PER_OUTPUT * count)
+        blocked = la >= n_short - count + 1  # one full block
+    if blocked and start >= la - 1:
         return _blocked_transform(a, b, start, count, n_short)
     n = next_pow2(n)
     spec = _product(_fft.rfft(a, n), _fft.rfft(b, n))

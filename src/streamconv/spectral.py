@@ -10,12 +10,15 @@ matrices of the predictor are learned.
 
 The predictor comes in two flavors. Full mode keeps one projection
 matrix per filter and convolves every input dimension with every
-filter, k x d_in outputs each step. Tensordot mode factors the stacked
-projections into a (filters x dims) and a (dims x dims) piece, mixes
-the filters into per-dimension kernels, and convolves each dimension
-with its own kernel, d outputs each step; it requires matching
-input/output widths. Both run all their convolutions in one batched
-engine, pushed once per step.
+filter, k x d_in outputs each step. Its k projections are held side by
+side as one (d_out, k*d_in) matrix, so a prediction is one BLAS
+matrix-vector product with the raveled features and an online gradient
+step one in-place BLAS rank-1 update (``dger``). Tensordot mode
+factors the stacked projections into a (filters x dims) and a (dims x
+dims) piece, mixes the filters into per-dimension kernels, and
+convolves each dimension with its own kernel, d outputs each step; it
+requires matching input/output widths. Both run all their convolutions
+in one batched engine, pushed once per step.
 
 The predictor exists to exercise the streaming engines under a
 realistic multi-channel workload, not to chase downstream quality.
@@ -23,9 +26,13 @@ realistic multi-channel workload, not to chase downstream quality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.linalg.blas import ddot as _ddot
+from scipy.linalg.blas import dger as _dger
 
 from .engines import make_engine
 from .errors import ConfigurationError, SequenceFormatError
@@ -85,7 +92,9 @@ def spectral_filters(length: int, count: int) -> SpectralFilterBank:
 
     Eigenvalue-descending; each filter is unit-norm with its
     largest-magnitude coordinate made positive so results are
-    deterministic despite eigenvector sign ambiguity.
+    deterministic despite eigenvector sign ambiguity. Only the top
+    ``count`` eigenpairs are computed, never the full ``length x
+    length`` eigenvector matrix.
     """
     if not 1 <= count <= length:
         raise ConfigurationError(f"need 1 <= count <= length, got k={count}, L={length}")
@@ -94,12 +103,12 @@ def spectral_filters(length: int, count: int) -> SpectralFilterBank:
             f"dense eigendecomposition capped at order {MAX_DENSE_EIG}, got {length}"
         )
     matrix = hankel_matrix(length)
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    # eigenpairs length-count .. length-1 of the ascending order
+    eigvals, eigvecs = eigh(matrix, subset_by_index=[length - count, length - 1])
     if not np.isfinite(eigvals).all():
         raise RuntimeError("eigendecomposition did not converge")
-    order = np.argsort(eigvals)[::-1][:count]
-    vals = eigvals[order]
-    vecs = eigvecs[:, order].copy()
+    vals = eigvals[::-1]
+    vecs = eigvecs[:, ::-1].copy()
     # the matrix is a Gram integral, hence PSD; clip rounding noise
     vals = np.maximum(vals, 0.0)
     for idx in range(count):
@@ -156,6 +165,11 @@ class StuModel:
 
     Full mode: prediction ``yhat_t = sum_i M_i <phi_i, recent inputs>``,
     from features (k, d_in): every filter over every input dimension.
+    The projections ``M_i`` live side by side in one C-contiguous
+    ``(d_out, k*d_in)`` matrix ``W = [M_0 .. M_{k-1}]``, so the
+    prediction is one matrix-vector product ``W @ features.ravel()``;
+    ``projections`` is that matrix seen as ``(k, d_out, d_in)``, a
+    writable view, so writing through it changes the next prediction.
     Tensordot mode: inputs are first projected by the square factor,
     then dimension j is convolved with the filter mix for that
     dimension; the step output is that (d,) result.
@@ -190,8 +204,10 @@ class StuModel:
                     f"projections must have shape (k, d_out, d_in) with k={k}"
                 )
             self.mode = "full"
-            self.projections = projections
             self.d_out, self.d_in = projections.shape[1], projections.shape[2]
+            self._weights = np.ascontiguousarray(
+                projections.transpose(1, 0, 2).reshape(self.d_out, k * self.d_in))
+            self._zeros = np.zeros(self.d_out)
             taps = bank.filters.T[:, None, :]  # (k, 1, L): every filter, every dimension
         elif factor_filters is not None and factor_mix is not None:
             factor_filters = np.array(factor_filters, dtype=np.float64)
@@ -234,7 +250,16 @@ class StuModel:
             return self.engine.push(self.factor_mix @ u_t)
         feats = self.engine.push(u_t)
         self._last_features = feats
-        return np.einsum("ioc,ic->o", self.projections, feats)
+        return self._weights @ feats.ravel()
+
+    @property
+    def projections(self) -> np.ndarray:
+        """Full-mode projections (k, d_out, d_in), a view of the flat matrix."""
+        return self._weights.reshape(self.d_out, -1, self.d_in).transpose(1, 0, 2)
+
+    @projections.setter
+    def projections(self, value: np.ndarray) -> None:
+        self.projections[...] = value
 
     @property
     def last_features(self) -> np.ndarray | None:
@@ -266,16 +291,28 @@ def ogd_spectral_step(
 
     Predicts, observes ``y_t``, and updates each projection matrix by
     ``M_i <- M_i - lr * 2 (yhat - y) F_i^T`` where ``F_i`` is the
-    filter-i feature vector of this step. Full mode only; returns the
-    prediction made before the update.
+    filter-i feature vector of this step: one in-place BLAS rank-1
+    update ``W <- W - 2 lr (yhat - y) F^T`` of the flat projection
+    matrix. Full mode only; returns the prediction made before the
+    update.
+
+    A target of the wrong shape, a NaN or infinite target, and a
+    learning rate that is not a finite positive number are rejected
+    before the model steps, so a rejected call changes no state.
     """
     if model.mode != "full":
         raise ConfigurationError("gradient updates require a full-mode model")
-    if learning_rate <= 0:
-        raise ConfigurationError("learning rate must be positive")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ConfigurationError(
+            f"learning rate must be finite and positive, got {learning_rate!r}")
     y_t = np.asarray(y_t, dtype=np.float64)
+    if y_t.shape != (model.d_out,):
+        raise ConfigurationError(f"expected target of shape ({model.d_out},), got {y_t.shape}")
+    # y . 0 is NaN iff some entry of y is NaN or infinite
+    if not math.isfinite(_ddot(y_t, model._zeros)):
+        raise ValueError(f"target must be finite (no NaN/Inf), got {y_t!r}")
     y_hat = model.step(u_t)
-    residual = y_hat - y_t
-    feats = model.last_features
-    model.projections -= learning_rate * 2.0 * (residual[:, None] * feats[:, None, :])
+    # W^T is Fortran-ordered: dger adds -2 lr F (yhat - y)^T to it in place
+    _dger(-2.0 * learning_rate, model.last_features.ravel(), y_hat - y_t,
+          a=model._weights.T, overwrite_a=True)
     return y_hat

@@ -252,6 +252,29 @@ class TestMiddle:
             want = np.array([np.dot(u[0, c], taps[i, 0, t + q:q:-1]) for q in range(k)])
             assert rel_err(got[i, c], want) < 1e-12
 
+    @pytest.mark.parametrize("t", [202, 505, 909, 1010])
+    def test_batched_rebuild_takes_the_blocked_path(self, monkeypatch, t):
+        # an epoched rebuild of 16 filters over 8 channels at L = 1024, K = 101
+        calls = []
+        blocked = conv._blocked_transform
+        monkeypatch.setattr(conv, "_blocked_transform",
+                            lambda *args: calls.append(args[-1]) or blocked(*args))
+        rng = np.random.default_rng(t)
+        length, count = 1024, min(101, 1024 - t)
+        u = rng.uniform(-1, 1, (1, 1, 8, t))
+        taps = rng.uniform(-1, 1, (1, 16, 1, length)) / 32
+        before = conv.transform_calls()
+        got = middle(u, taps, t, count)
+        assert conv.transform_calls() - before == 1
+        assert calls == [conv.next_pow2(2 * count)] and got.shape == (1, 16, 8, count)
+        for i, c in np.ndindex(16, 8):
+            row = middle(u[0, 0, c], taps[0, i, 0], t, count)
+            assert rel_err(got[0, i, c], row) < 1e-12, (i, c)
+            # one row keeps its direct path: a valid-mode correlation
+            np.testing.assert_array_equal(
+                row, np.correlate(taps[0, i, 0, 1:t + count], u[0, 0, c, ::-1]))
+        assert len(calls) == 1  # none of the one-row calls was blocked
+
 
 class TestFutureFill:
     def test_place_value_slice(self):

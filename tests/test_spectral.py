@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -76,6 +79,20 @@ class TestFilterBank:
             approx = (bank.filters[:, :k] * bank.eigenvalues[:k]) @ bank.filters[:, :k].T
             errors.append(np.linalg.norm(h - approx))
         assert all(a > b for a, b in zip(errors, errors[1:]))
+
+    def test_top_eigenpairs_match_full_decomposition(self):
+        length, k = 1024, 16
+        bank = spectral_filters(length, k)
+        vals, vecs = np.linalg.eigh(hankel_matrix(length))
+        full = vecs[:, ::-1][:, :k]
+        for i in range(k):
+            got, want = bank.filter_at(i), full[:, i]
+            err = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
+            assert err <= 1e-6, i
+        np.testing.assert_allclose(bank.eigenvalues, np.maximum(vals[::-1][:k], 0.0),
+                                   rtol=0, atol=1e-12)
+        gram = bank.filters.T @ bank.filters
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
 
     def test_caps_and_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -247,6 +264,81 @@ class TestStuModel:
             StuModel(bank, projections=np.zeros((3, 2, 2)), max_steps=4)
 
 
+def _replay_einsum_formulas(proj, feats, targets, lr):
+    """Predictions and projections of OGD written as an einsum and a
+    broadcast update over (k, d_out, d_in) projections."""
+    proj = proj.copy()
+    preds = np.empty(targets.shape)
+    for t, (f, y) in enumerate(zip(feats, targets)):
+        preds[t] = np.einsum("ioc,ic->o", proj, f)
+        residual = preds[t] - y
+        proj -= lr * 2.0 * (residual[:, None] * f[:, None, :])
+    return preds, proj
+
+
+class TestFlatProjections:
+    def test_projections_view_shape_and_write_through(self):
+        rng = np.random.default_rng(61)
+        k, d_out, d_in = 3, 4, 2
+        bank = spectral_filters(16, k)
+        proj = rng.standard_normal((k, d_out, d_in))
+        model = StuModel(bank, projections=proj, max_steps=8)
+        assert model.projections.shape == (k, d_out, d_in)
+        np.testing.assert_array_equal(model.projections, proj)
+        model.step(rng.uniform(-1, 1, d_in))
+        new = rng.standard_normal((k, d_out, d_in))
+        model.projections[...] = new
+        np.testing.assert_array_equal(model.projections, new)
+        y = model.step(rng.uniform(-1, 1, d_in))
+        want = np.einsum("ioc,ic->o", new, model.last_features)
+        np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-15)
+        model.projections[1, 2, 0] = 7.0
+        assert model.projections[1, 2, 0] == 7.0
+        model.projections = np.zeros((k, d_out, d_in))
+        np.testing.assert_array_equal(model.step(rng.uniform(-1, 1, d_in)), np.zeros(d_out))
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copy_mid_stream_continues_like_original(self, how, kind):
+        rng = np.random.default_rng(67)
+        k, d, steps = 3, 2, 120
+        bank = spectral_filters(32, k)
+        model = StuModel(bank, projections=rng.standard_normal((k, d, d)) * 0.3,
+                         engine_kind=kind, max_steps=steps + 1)
+        us, ys = rng.uniform(-1, 1, (2, steps, d))
+        for t in range(77):  # mid-block, mid-epoch
+            ogd_spectral_step(model, us[t], ys[t], 0.01)
+        twin = copy.deepcopy(model) if how == "deepcopy" else pickle.loads(pickle.dumps(model))
+        np.testing.assert_array_equal(twin.projections, model.projections)
+        for t in range(77, steps):
+            np.testing.assert_array_equal(ogd_spectral_step(twin, us[t], ys[t], 0.01),
+                                          ogd_spectral_step(model, us[t], ys[t], 0.01))
+            np.testing.assert_array_equal(twin.projections, model.projections)
+        # the copy's view reads the matrix its updates write, and no longer the original's
+        twin.projections[...] = 0.0
+        np.testing.assert_array_equal(twin.step(np.full(d, 0.5)), np.zeros(d))
+        assert np.any(model.projections != 0.0)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_ogd_matches_einsum_and_broadcast_replay(self, kind):
+        rng = np.random.default_rng(71)
+        k, d_in, d_out, steps, lr = 4, 3, 5, 256, 0.01
+        bank = spectral_filters(steps, k)
+        proj = rng.uniform(-1, 1, (k, d_out, d_in)) / (k * d_in)
+        model = StuModel(bank, projections=proj, engine_kind=kind, max_steps=steps)
+        us = rng.uniform(-1, 1, (steps, d_in))
+        ys = rng.uniform(-1, 1, (steps, d_out))
+        preds = np.empty((steps, d_out))
+        feats = np.empty((steps, k, d_in))
+        for t in range(steps):
+            preds[t] = ogd_spectral_step(model, us[t], ys[t], lr)
+            feats[t] = model.last_features
+        want_preds, want_proj = _replay_einsum_formulas(proj, feats, ys, lr)
+        assert np.max(np.abs(preds - want_preds)) <= 1e-13 * np.max(np.abs(want_preds))
+        assert (np.max(np.abs(model.projections - want_proj))
+                <= 1e-13 * np.max(np.abs(want_proj)))
+
+
 class TestGradientUpdates:
     def test_zero_residual_leaves_projections_unchanged(self):
         bank = spectral_filters(8, 2)
@@ -308,6 +400,33 @@ class TestGradientUpdates:
             losses.append(float(np.sum((y_hat - y) ** 2)))
         decile = steps // 10
         assert np.mean(losses[-decile:]) < np.mean(losses[:decile])
+
+    BAD_CALLS = {
+        "short target": (np.zeros(1), 0.05, ConfigurationError),
+        "long target": (np.zeros(3), 0.05, ConfigurationError),
+        "matrix target": (np.zeros((2, 1)), 0.05, ConfigurationError),
+        "nan target": (np.array([0.1, np.nan]), 0.05, ValueError),
+        "inf target": (np.array([np.inf, 0.1]), 0.05, ValueError),
+        "nan rate": (np.zeros(2), float("nan"), ConfigurationError),
+        "inf rate": (np.zeros(2), float("inf"), ConfigurationError),
+        "zero rate": (np.zeros(2), 0.0, ConfigurationError),
+        "negative rate": (np.zeros(2), -0.1, ConfigurationError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CALLS))
+    def test_bad_target_or_rate_rejected_before_any_state_change(self, case):
+        y, lr, error = self.BAD_CALLS[case]
+        rng = np.random.default_rng(73)
+        bank = spectral_filters(16, 2)
+        model = StuModel(bank, projections=rng.standard_normal((2, 2, 2)),
+                         engine_kind="continuous", max_steps=8)
+        ogd_spectral_step(model, np.array([0.5, -0.5]), np.array([0.2, 0.1]), 0.05)
+        before, feats = model.projections.copy(), model.last_features
+        with pytest.raises(error):
+            ogd_spectral_step(model, np.array([0.3, 0.4]), y, lr)
+        assert model.engine.steps == 1
+        np.testing.assert_array_equal(model.projections, before)
+        assert model.last_features is feats
 
     def test_requires_full_mode_and_positive_rate(self):
         bank = spectral_filters(8, 2)

@@ -160,6 +160,10 @@ def run_bench(
         raise ConfigurationError("prompt length must be >= 0")
     if trials < 1:
         raise ConfigurationError("need at least one measured trial")
+    if warmup < 0:
+        raise ConfigurationError(f"warmup trials must be >= 0, got {warmup}")
+    if channels < 1:
+        raise ConfigurationError(f"need at least one channel, got {channels}")
     lengths = [int(x) for x in lengths]
     if sorted(lengths) != lengths:
         raise ConfigurationError("lengths must be ascending")

@@ -234,9 +234,17 @@ def _blocked_transform(a: np.ndarray, b: np.ndarray, start: int, count: int,
     # tap segments of the full blocks, oldest first like the block rows
     segs = np.lib.stride_tricks.sliding_window_view(b[..., first:reach], n, axis=-1)
     blocks = a[..., rem:].reshape(a.shape[:-1] + (n_full, block))
-    spec = _product(_fft.rfft(blocks, n, axis=-1),
-                    _fft.rfft(segs[..., (n_full - 1) * block::-block, :], n, axis=-1))
-    spec = spec.sum(axis=-2)
+    fa = _fft.rfft(blocks, n, axis=-1)
+    fb = _fft.rfft(segs[..., (n_full - 1) * block::-block, :], n, axis=-1)
+    if fa.shape == np.broadcast_shapes(fa.shape, fb.shape):
+        spec = _product(fa, fb).sum(axis=-2)  # the products in place in fa
+    else:
+        # the products of all blocks at once would be n_full times the
+        # size of the result: add them one block at a time, oldest first
+        spec = fa[..., 0, :] * fb[..., 0, :]
+        term = np.empty_like(spec)
+        for j in range(1, n_full):
+            spec += np.multiply(fa[..., j, :], fb[..., j, :], out=term)
     if rem:
         # the oldest, partial block, right-aligned in its zero-padded slot
         part = np.zeros(a.shape[:-1] + (block,))

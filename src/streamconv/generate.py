@@ -183,17 +183,18 @@ def generate_prompted(
     decode_filter = Filter(taps[:min(k, taps.size)], k)
     engine = make_engine(engine_kind, decode_filter, k, epoch_len)
 
-    slots = cache.contributions.values
-    outs = np.empty(k)
+    # Python floats, not numpy scalars, on the per-token path
+    outs: list = []
+    append = outs.append
     fed = 0.0
     push = engine.push
-    for t in range(k):
-        y_hat = slots[t] + fed
-        outs[t] = y_hat
+    for slot in cache.contributions.values.tolist():
+        y_hat = slot + fed
+        append(y_hat)
         fed = push(tmap(y_hat))
     meter = engine.meter
     return GenerationResult(
-        outputs=Signal(outs),
+        outputs=Signal(np.array(outs, dtype=float)),
         meter=meter,
         prefill_transform_calls=cache.transform_calls,
         decode_peak_aux_elems=k + meter.peak_aux_elems,

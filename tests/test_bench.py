@@ -62,6 +62,21 @@ class TestRecords:
         with pytest.raises(ConfigurationError):
             run_bench(["fourier"], [64], trials=1, warmup=0)
 
+    @pytest.mark.parametrize("channels", [0, -3])
+    def test_rejects_channels_below_one(self, channels):
+        with pytest.raises(ConfigurationError):
+            run_bench(["naive"], [16, 32], trials=1, warmup=0, channels=channels)
+
+    def test_rejects_negative_warmup(self):
+        with pytest.raises(ConfigurationError):
+            run_bench(["naive"], [16, 32], trials=1, warmup=-1)
+
+    def test_zero_warmup_records_every_trial(self):
+        recs = run_bench(["naive", "continuous"], [16, 32], trials=2, warmup=0, seed=2)
+        assert [(r.engine, r.L_gen, r.trial) for r in recs] == [
+            (kind, length, trial) for kind in ("naive", "continuous")
+            for length in (16, 32) for trial in (1, 2)]
+
     def test_spectral_filter_source_respects_cap(self):
         recs = run_bench(["continuous"], [64], trials=1, warmup=0,
                          filter_source="spectral")

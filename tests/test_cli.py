@@ -126,6 +126,15 @@ class TestBenchAndSlope:
         fits = json.loads(capsys.readouterr().out)["fits"]
         assert abs(fits[0]["slope"] - 2.0) < 0.05
 
+    @pytest.mark.parametrize("flags", [["--channels", "0"], ["--channels", "-3"],
+                                       ["--warmup", "-1"]])
+    def test_no_channel_or_negative_warmup_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--lengths", "16,32", "--trials", "1", *flags,
+                   "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         rc = main(["bench", "--engines", "naive", "--lengths", "64",
                    "--trials", "1", "--warmup", "0",

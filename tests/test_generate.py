@@ -7,6 +7,7 @@ from streamconv import (
     clamp_token,
     generate_prompted,
     generate_scratch,
+    make_engine,
     oracle_prompted,
     prefill,
 )
@@ -119,6 +120,27 @@ class TestPrompted:
                 got = generate_prompted(p, taps, k, kind).outputs.values
                 tol = 1e-9 * (1.0 + np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= tol
+
+    @pytest.mark.parametrize("kind", ["naive", "epoched", "continuous"])
+    def test_decode_bitwise_equal_to_ndarray_loop(self, kind):
+        # the decode loop as it ran on numpy scalars read from and written
+        # to ndarrays; the Python-float loop must give the same bits
+        rng = np.random.default_rng(23)
+        p = rng.uniform(-1, 1, 40)
+        taps = rng.uniform(-0.3, 0.3, 240)
+        k = 200
+        for tmap in (None, clamp_token()):
+            slots = prefill(p, taps, k).contributions.values
+            engine = make_engine(kind, Filter(taps[:k], k), k)
+            want = np.empty(k)
+            fed = 0.0
+            for t in range(k):
+                y_hat = slots[t] + fed
+                want[t] = y_hat
+                fed = engine.push(tmap(y_hat) if tmap else y_hat)
+            got = generate_prompted(p, taps, k, kind, tmap).outputs.values
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_decode_memory_independent_of_prompt(self):
         k = 32

@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 from streamconv import (
     ENGINE_KINDS,
@@ -20,6 +21,7 @@ from streamconv import (
     save_filter_bank,
     spectral_filters,
 )
+import streamconv.spectral as spectral_module
 from streamconv.spectral import MAX_DENSE_EIG, full_projections_from_factors
 
 
@@ -93,6 +95,62 @@ class TestFilterBank:
                                    rtol=0, atol=1e-12)
         gram = bank.filters.T @ bank.filters
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 1000])
+    def test_hankel_product_matches_dense(self, length):
+        x = np.random.default_rng(length).standard_normal((length, 5))
+        want = hankel_matrix(length) @ x
+        got = spectral_module._hankel_product(
+            spectral_module._hankel_sequence(length), x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_matches_lapack_top_eigenpairs_at_2048(self):
+        length, k = 2048, 16
+        vals, vecs = eigh(hankel_matrix(length), subset_by_index=[length - k, length - 1])
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        bank = spectral_filters(length, k)
+        for i in range(k):
+            got, want = bank.filter_at(i), vecs[:, i]
+            err = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
+            assert err <= 1e-6, i
+        np.testing.assert_allclose(bank.eigenvalues, np.maximum(vals, 0.0),
+                                   rtol=0, atol=1e-12)
+        gram = bank.filters.T @ bank.filters
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
+
+    def test_banks_are_bitwise_reproducible(self):
+        a, b = spectral_filters(512, 12), spectral_filters(512, 12)
+        assert a.filters.tobytes() == b.filters.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("length, k", [(1, 1), (8, 8), (9, 4)])
+    def test_whole_space_block_matches_full_decomposition(self, length, k):
+        # count + oversampling reaches the order: one Rayleigh-Ritz step
+        # over the whole space
+        vals, vecs = np.linalg.eigh(hankel_matrix(length))
+        vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
+        bank = spectral_filters(length, k)
+        for i in range(k):
+            got, want = bank.filter_at(i), vecs[:, i]
+            err = min(np.max(np.abs(got - want)), np.max(np.abs(got + want)))
+            assert err <= 1e-8, i
+        np.testing.assert_allclose(bank.eigenvalues, np.maximum(vals, 0.0),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("length, k", [(64, 8), (256, 16), (1000, 999), (2048, 1)])
+    def test_residuals_within_stop_rule_bound(self, length, k):
+        # the stop rule bounds the residuals of the computed products by
+        # RESIDUAL_TOL eps lambda_1; against the dense matrix they may
+        # differ by the products' own rounding, far less than as much again
+        bank = spectral_filters(length, k)
+        resid = hankel_matrix(length) @ bank.filters - bank.filters * bank.eigenvalues
+        bound = 2 * spectral_module.RESIDUAL_TOL * np.finfo(np.float64).eps
+        assert np.max(np.linalg.norm(resid, axis=0)) <= bound * bank.eigenvalues[0]
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_module, "_MAX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError):
+            spectral_filters(256, 4)
 
     def test_caps_and_bounds(self):
         with pytest.raises(ConfigurationError):

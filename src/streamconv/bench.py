@@ -165,6 +165,8 @@ def run_bench(
     if channels < 1:
         raise ConfigurationError(f"need at least one channel, got {channels}")
     lengths = [int(x) for x in lengths]
+    if lengths and min(lengths) < 1:
+        raise ConfigurationError(f"--lengths must be >= 1, got {min(lengths)}")
     if sorted(lengths) != lengths:
         raise ConfigurationError("lengths must be ascending")
     for kind in engine_kinds:

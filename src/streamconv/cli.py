@@ -180,6 +180,8 @@ def _gen_filter(args, total_len: int) -> Filter:
 
 
 def _cmd_gen(args) -> int:
+    if args.length < 1:
+        raise ConfigurationError(f"--length must be >= 1, got {args.length}")
     token_map = identity_token if args.token_map == "identity" else clamp_token()
     out = args.output or "generated.txt"
     epoch_len = args.epoch_len or None

@@ -22,8 +22,6 @@ Contracts below use 1-based positions; arrays are 0-based.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy import fft as _fft
 
@@ -34,8 +32,9 @@ from .signal import ArrayLike, Filter, Signal, as_filter, as_signal
 # bounded by TOLERANCE_SCALE * (1 + max |direct|) for lengths <= 2**14.
 TOLERANCE_SCALE = 1e-9
 
-# Cost model choosing between the two paths of :func:`middle`. The
-# direct path costs one multiply-add per (input, window position)
+# Cost model choosing between the two paths of :func:`middle` for a
+# window without leading axes (one with them always takes a transform).
+# The direct path costs one multiply-add per (input, window position)
 # pair; the transform path costs real transforms of n points plus a
 # fixed per-call overhead of tens of microseconds. Direct summation is
 # chosen while
@@ -49,20 +48,6 @@ TOLERANCE_SCALE = 1e-9
 # O(n log n) contract of the fast path holds.
 _DIRECT_MACS_PER_POINT = 24
 _DIRECT_MACS_FLOOR = 1 << 18
-
-# With leading axes, the direct path is one multiply-add per (row,
-# input, window position) through numpy's einsum, and the transform path
-# runs one transform per row of each operand and of the result. The
-# einsum ran at about 0.85 ns per multiply-add on the host above, about
-# eight times what the one-row BLAS path costs, so with leading axes a
-# multiply-add weighs this many, and the per-point budget is shared by
-# all the transforms: direct while
-#     weight * rows * macs <= max(_DIRECT_MACS_FLOOR,
-#         _DIRECT_MACS_PER_POINT / 3 * (rows_a + rows_b + rows) * n * log2(n)).
-# With 16 filters over 8 channels (128 rows), a continuous level of
-# m = 64 took 88 us through transforms against 390 us directly, and
-# the einsum wins only below m = 16. One row gives the model above.
-_BATCHED_DIRECT_WEIGHT = 8
 
 # A transform whose window is narrow next to its input goes through a
 # batch of short transforms of next_pow2(_BLOCKED_POINTS_PER_OUTPUT *
@@ -116,11 +101,11 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     Only the inputs that reach the window take part: ``a`` is trimmed
     to the indices that meet a stored tap inside it and ``b`` to the
     taps the window can read. What is left is either summed directly
-    (one multiply-add per row, input and output) or multiplied in one
-    circular transform of ``n >= max(len(a) + len(b) - 1 - start,
-    start + count)`` points, the least length at which no wrapped
-    term lands in the window -- or, when the window is narrow next to
-    ``a``, in a batch of short ones over blocks of ``a``.
+    (one-row windows only: one multiply-add per input and output) or
+    multiplied in one circular transform of ``n >= max(len(a) + len(b)
+    - 1 - start, start + count)`` points, the least length at which no
+    wrapped term lands in the window -- or, when the window is narrow
+    next to ``a``, in a batch of short ones over blocks of ``a``.
     """
     global _fast_conv_calls
     _fast_conv_calls += 1
@@ -140,35 +125,13 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(count, 0),))
     if lb < b.shape[-1]:
         b = b[..., :lb]
-    macs = la * (count if count < lb else lb)
     n = la + lb - 1 - start
     if n < end:
         n = end
-    one_row = a.ndim == 1 and b.ndim == 1
-    if one_row:
-        rows_a = rows_b = rows = weight = 1
-    else:
-        rows_a, rows_b = a.size // la, b.size // lb
-        rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
-        weight = _BATCHED_DIRECT_WEIGHT
-    direct = weight * rows * macs
-    # a one-row transform call runs three transforms of n points
-    if (direct <= _DIRECT_MACS_FLOOR
-            or 3 * direct <= _DIRECT_MACS_PER_POINT * (rows_a + rows_b + rows) * n * n.bit_length()):
-        if not one_row:
-            return _direct_rows(a, b, start, count)
-        seg_lo = start - la + 1
-        if seg_lo >= 0 and end <= lb:
-            # every window position meets all of a: a valid-mode
-            # correlation of the taps it reads with a reversed
-            return np.correlate(b[seg_lo:end], a[::-1])
-        full = np.convolve(a, b)
-        if full.size >= end:
-            return full[start:end]
-        out = np.zeros(count)
-        out[:full.size - start] = full[start:]
-        return out
-    if one_row:
+    if a.ndim == 1 and b.ndim == 1:
+        macs = la * (count if count < lb else lb)
+        if macs <= max(_DIRECT_MACS_FLOOR, _DIRECT_MACS_PER_POINT * n * n.bit_length()):
+            return _direct(a, b, start, count)
         n_short = next_pow2(_BLOCKED_POINTS_PER_OUTPUT * count)
         blocked = la > 2 * (n_short - count + 1)
     else:
@@ -181,25 +144,23 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     return _fft.irfft(spec, n)[..., start:end]
 
 
-def _direct_rows(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
-    """:func:`middle`'s direct path for operands with leading axes.
+def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
+    """:func:`middle`'s direct path, for one-row windows.
 
-    Output ``q`` of a row is the reversed row of ``a`` against the
-    ``len(a)`` taps ending at ``start + q``: one multiply-add per row,
-    input and output, over a sliding window of the taps, zero-padded
-    where the window reaches past them.
+    A valid-mode correlation of the reversed inputs with the
+    ``len(a) + count - 1`` taps the window reads, from the one its first
+    output meets with the last input; zero where it reads before or
+    past the stored taps.
     """
-    la, lb = a.shape[-1], b.shape[-1]
-    lo = start - la + 1  # the tap the first output reads with a's last input
-    width = la + count - 1
-    if lo < 0 or lo + width > lb:
-        seg = np.zeros(b.shape[:-1] + (width,))
-        first = max(lo, 0)
-        seg[..., first - lo:lb - lo] = b[..., first:]
+    la, lb, end = a.size, b.size, start + count
+    lo = start - la + 1
+    if lo >= 0 and end <= lb:
+        seg = b[lo:end]
     else:
-        seg = b[..., lo:lo + width]
-    windows = np.lib.stride_tricks.sliding_window_view(seg, la, axis=-1)
-    return np.einsum("...qi,...i->...q", windows, a[..., ::-1])
+        seg = np.zeros(la + count - 1)
+        first = max(lo, 0)
+        seg[first - lo:lb - lo] = b[first:]
+    return np.correlate(seg, a[::-1])
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

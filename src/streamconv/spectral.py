@@ -206,11 +206,14 @@ def load_filter_bank(path: str) -> SpectralFilterBank:
             rows, cols = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise SequenceFormatError(f"bad header {header.strip()!r}", path, 1) from exc
+        if rows < 0 or cols < 0:
+            raise SequenceFormatError(f"negative dimension in header {header.strip()!r}",
+                                      path, 1)
         filters = np.empty((rows, cols))
         for r in range(rows):
             line = fh.readline()
             if not line:
-                raise SequenceFormatError(f"expected {rows} rows, found {r}", path, r + 1)
+                raise SequenceFormatError(f"expected {rows} rows, found {r}", path, r + 2)
             cells = line.strip().split(",")
             if len(cells) != cols:
                 raise SequenceFormatError(
@@ -220,6 +223,9 @@ def load_filter_bank(path: str) -> SpectralFilterBank:
                 filters[r] = [float(c) for c in cells]
             except ValueError as exc:
                 raise SequenceFormatError("non-numeric cell", path, r + 2) from exc
+        for lineno, line in enumerate(fh, start=rows + 2):
+            if line.strip():
+                raise SequenceFormatError(f"expected {rows} rows, found more", path, lineno)
     return SpectralFilterBank(filters=filters, eigenvalues=None)
 
 

@@ -29,6 +29,7 @@ from .engines import (
     k_of_t,
     optimal_epoch_length,
 )
+from .errors import ConfigurationError
 from .generate import generate_prompted, oracle_prompted
 from .rng import stream_seed
 from .signal import Filter
@@ -340,6 +341,8 @@ ALL_SUITES = (
 
 def run_all(seed: int = 0, max_l: int = DEFAULT_MAX_L) -> list[SuiteResult]:
     """Run every suite into a result named after it, timing each."""
+    if max_l < 2:
+        raise ConfigurationError(f"--max-L must be >= 2, got {max_l}")
     results = []
     for suite in ALL_SUITES:
         res = SuiteResult(suite.__name__.removeprefix("suite_"))

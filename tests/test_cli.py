@@ -127,7 +127,7 @@ class TestBenchAndSlope:
         assert abs(fits[0]["slope"] - 2.0) < 0.05
 
     @pytest.mark.parametrize("flags", [["--channels", "0"], ["--channels", "-3"],
-                                       ["--warmup", "-1"]])
+                                       ["--warmup", "-1"], ["--lengths", "0"]])
     def test_no_channel_or_negative_warmup_is_usage_error(self, tmp_path, flags):
         out = tmp_path / "b.csv"
         rc = main(["bench", "--lengths", "16,32", "--trials", "1", *flags,
@@ -140,6 +140,16 @@ class TestBenchAndSlope:
                    "--trials", "1", "--warmup", "0",
                    "--output", str(tmp_path / "missing" / "b.csv")])
         assert rc == 3
+
+
+class TestSizes:
+    @pytest.mark.parametrize("argv", [["verify", "--max-L", "0"], ["verify", "--max-L", "1"],
+                                      ["gen", "--length", "0"], ["gen", "--length", "-3"]])
+    def test_bad_size_is_usage_error_naming_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert f"error: {argv[1]} must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -12,7 +12,11 @@ from streamconv import (
     split_check,
 )
 from streamconv import convolution as conv
+from streamconv import engines as engines_module
+from streamconv import spectral as spectral_module
 from streamconv.convolution import _futurefill_direct, middle
+from streamconv.engines import make_engine
+from streamconv.spectral import StuModel, spectral_filters
 
 
 def rel_err(got, want):
@@ -164,9 +168,35 @@ def window_of_full(a, b, start, count):
     return out
 
 
+def record_paths(monkeypatch, *modules):
+    """Record ``(path, len(a))`` for each ``middle`` call made through ``modules``.
+
+    The path is ``"direct"``, ``"blocked"`` or, when neither of those
+    helpers ran, ``"transform"``.
+    """
+    paths, seen = [], []
+    for path, name in (("direct", "_direct"), ("blocked", "_blocked_transform")):
+        def spy(*args, path=path, inner=getattr(conv, name)):
+            seen.append(path)
+            return inner(*args)
+        monkeypatch.setattr(conv, name, spy)
+
+    def recorded(a, b, start, count):
+        seen.clear()
+        out = conv.middle(a, b, start, count)
+        paths.append((seen[0] if seen else "transform", a.shape[-1]))
+        return out
+
+    for module in modules:
+        monkeypatch.setattr(module, "middle", recorded)
+    return paths
+
+
 class TestMiddle:
-    # (per-point factor, floor) of the direct-vs-transform cost model:
-    # the measured one, always direct, always transform
+    # (per-point factor, floor) of the direct-vs-transform cost model,
+    # which applies to one-row windows only: the measured one, always
+    # direct, always transform. Windows with leading axes always take a
+    # transform, the blocked one or one over the whole reach.
     PATHS = [(conv._DIRECT_MACS_PER_POINT, conv._DIRECT_MACS_FLOOR),
              (10 ** 9, 10 ** 18), (0, -1)]
 
@@ -274,6 +304,35 @@ class TestMiddle:
             np.testing.assert_array_equal(
                 row, np.correlate(taps[0, i, 0, 1:t + count], u[0, 0, c, ::-1]))
         assert len(calls) == 1  # none of the one-row calls was blocked
+
+    def test_one_row_levels_switch_to_the_transform_at_1024(self, monkeypatch):
+        # a continuous engine at horizon 2**12: level m is a window of m
+        # inputs and m outputs, at every multiple of 64 with lowest set bit m
+        paths = record_paths(monkeypatch, engines_module)
+        rng = np.random.default_rng(47)
+        engine = make_engine("continuous", rng.uniform(-1, 1, 1 << 12), 1 << 12)
+        engine.push_many(rng.uniform(-1, 1, 1 << 12))
+        assert {m for path, m in paths if path == "direct"} == {64, 128, 256, 512}
+        assert sorted(m for path, m in paths if path != "direct") == [1024, 1024, 2048]
+        assert {path for path, m in paths if m >= 1024} == {"transform"}
+
+    @pytest.mark.parametrize("model", PATHS)
+    @pytest.mark.parametrize("kind", ["epoched", "continuous"])
+    def test_leading_axes_never_take_the_direct_path(self, monkeypatch, model, kind):
+        # stu-online's shape: 16 filters over 8 channels at L = 1024,
+        # the bank's Hankel products included
+        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model[0])
+        monkeypatch.setattr(conv, "_DIRECT_MACS_FLOOR", model[1])
+        paths = record_paths(monkeypatch, engines_module, spectral_module)
+        rng = np.random.default_rng(53)
+        bank = spectral_filters(1024, 16)
+        projections = rng.uniform(-1, 1, (16, 8, 8)) / 128
+        stu = StuModel(bank, projections=projections, engine_kind=kind, max_steps=1024)
+        for u in rng.uniform(-1, 1, (1024, 8)):
+            stu.step(u)
+        assert any(m == 1024 for _, m in paths)  # the bank's products
+        assert any(m < 1024 for _, m in paths)  # the engine's boundaries
+        assert "direct" not in {path for path, _ in paths}
 
 
 class TestFutureFill:

@@ -10,6 +10,7 @@ from streamconv import (
     ENGINE_KINDS,
     ConfigurationError,
     CostMeter,
+    SequenceFormatError,
     StuModel,
     conv_causal_reference,
     Filter,
@@ -166,6 +167,18 @@ class TestFilterBank:
         np.testing.assert_array_equal(loaded.filters, bank.filters)
         gram = loaded.filters.T @ loaded.filters
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-8
+
+    @pytest.mark.parametrize("text, line", [
+        ("2,1\n0.5\n0.25\n1.0\n", 4),  # a row the header does not declare
+        ("-2,1\n", 1),  # a negative dimension
+        ("3,1\n0.5\n0.25\n", 4),  # a missing row, named where it belongs
+    ], ids=["extra-row", "negative-dimension", "missing-row"])
+    def test_malformed_file_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bank.csv"
+        path.write_text(text)
+        with pytest.raises(SequenceFormatError) as info:
+            load_filter_bank(str(path))
+        assert (info.value.path, info.value.line) == (str(path), line)
 
 
 class TestStuModel:

@@ -157,13 +157,13 @@ def run_bench(
     if mode not in ("scratch", "prompt"):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == "prompt" and prompt_len < 0:
-        raise ConfigurationError("prompt length must be >= 0")
+        raise ConfigurationError(f"--prompt-len must be >= 0, got {prompt_len}")
     if trials < 1:
-        raise ConfigurationError("need at least one measured trial")
+        raise ConfigurationError(f"--trials must be >= 1, got {trials}")
     if warmup < 0:
-        raise ConfigurationError(f"warmup trials must be >= 0, got {warmup}")
+        raise ConfigurationError(f"--warmup must be >= 0, got {warmup}")
     if channels < 1:
-        raise ConfigurationError(f"need at least one channel, got {channels}")
+        raise ConfigurationError(f"--channels must be >= 1, got {channels}")
     lengths = [int(x) for x in lengths]
     if lengths and min(lengths) < 1:
         raise ConfigurationError(f"--lengths must be >= 1, got {min(lengths)}")

@@ -35,7 +35,10 @@ taps (k, 1, L) over samples (d,) give (k, d) outputs, every filter over
 every channel. Such a batched engine steps with one small matrix
 product and refills its cache with one
 :func:`~streamconv.convolution.middle` call for all rows. One filter
-over scalar samples keeps the scalar step.
+over scalar samples keeps the scalar step. Either way the transform
+temporaries of those calls are reused heap blocks, not fresh pages:
+:mod:`~streamconv.convolution` fixes the C library's thresholds for
+freed blocks when it is imported.
 
 The push methods are deliberately flat: they run once per generated
 token, so attribute traffic and tiny-array dispatch dominate the
@@ -53,8 +56,6 @@ the sample had never been offered.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import asdict, astuple, dataclass
 from math import isfinite as _isfinite
@@ -172,36 +173,6 @@ def _layout(lead: tuple, sample: tuple) -> tuple:
     return shape, perm, sizes
 
 
-_M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_freed_blocks() -> None:
-    """Have the C library reuse freed blocks of up to 32 MiB (once per process).
-
-    A batched fast engine allocates and frees transform temporaries of
-    about 1 MiB (16 filters x 8 channels at horizon 1024) on every level
-    update and rebuild. Under glibc's default, self-adjusting thresholds
-    such a block is a fresh mapping until a larger one has been freed,
-    and the top of the heap goes back to the system once twice that is
-    free, so its pages fault in again on every use. In a fresh process a
-    full-mode ``StuModel`` at that size took about 2,000 minor faults per
-    1024 epoched steps and 500 per 1024 continuous ones, against none
-    with the thresholds fixed at the largest value glibc's own adjustment
-    reaches (32 MiB, and twice that for trimming). Process-wide; nothing
-    happens where the C library has no ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 class OnlineConvEngine:
     """Common state and contract for the streaming engines.
 
@@ -275,7 +246,6 @@ class OnlineConvEngine:
         full = taps.reshape(lt + (self._ntaps,)).transpose(perm + (len(shape),))
         self._taps = full.reshape(rows[:2] + (self._ntaps,)).copy()
         self._buf = np.zeros((rows[0], rows[2], horizon))
-        _keep_freed_blocks()
 
     @property
     def steps(self) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from . import convolution as conv
 from .engines import CostMeter, OnlineConvEngine, make_engine
 from .errors import ConfigurationError
-from .signal import ArrayLike, Filter, Signal, as_filter, as_signal
+from .signal import ArrayLike, Filter, Signal, as_filter, as_signal, finite_samples
 
 TokenMap = Callable[[float], float]
 
@@ -143,18 +143,17 @@ def prefill(
     the full product. A ``gen_budget`` of zero yields
     a valid empty cache.
     """
-    prompt = as_signal(prompt)
+    prompt = finite_samples(prompt)  # read once, so not copied
     phi = as_filter(phi)
     k = int(gen_budget)
     if k < 0:
         raise ConfigurationError("generation budget must be >= 0")
-    p_len = len(prompt)
     if k == 0:
         return PrefillCache(Signal(np.zeros(0)), 0)
     taps = phi.taps_array()
-    if p_len == 0 or taps.size == 0:
+    if prompt.size == 0 or taps.size == 0:
         return PrefillCache(Signal(np.zeros(k)), 0)
-    return PrefillCache(Signal(conv.middle(prompt.values, taps, p_len - 1, k)), 1)
+    return PrefillCache(Signal(conv.middle(prompt, taps, prompt.size - 1, k)), 1)
 
 
 def generate_prompted(

@@ -29,14 +29,7 @@ class Signal:
         if isinstance(samples, Signal):
             self._values = samples._values
             return
-        values = np.asarray(samples, dtype=np.float64)
-        if values.ndim == 0:
-            values = values.reshape(1)
-        if values.ndim != 1:
-            raise ValueError(f"signal must be one-dimensional, got shape {values.shape}")
-        if values.size and not np.isfinite(values).all():
-            raise ValueError("signal samples must be finite (no NaN/Inf)")
-        values = values.copy()
+        values = finite_samples(samples).copy()
         values.setflags(write=False)
         self._values = values
 
@@ -71,6 +64,26 @@ class Signal:
             head = ", ".join(repr(float(v)) for v in self._values[:4])
             body = f"{head}, ... ({len(self)} samples)"
         return f"Signal([{body}])"
+
+
+def finite_samples(samples: ArrayLike) -> np.ndarray:
+    """The samples as a 1-d float64 array, checked as :class:`Signal` checks them.
+
+    Raises ``ValueError`` unless they are one-dimensional (a scalar is
+    one sample) and all finite. Unlike :class:`Signal` it does not copy:
+    a 1-d float64 array comes back as itself, for a caller that only
+    reads it once.
+    """
+    if isinstance(samples, Signal):
+        return samples.values
+    values = np.asarray(samples, dtype=np.float64)
+    if values.ndim == 0:
+        values = values.reshape(1)
+    if values.ndim != 1:
+        raise ValueError(f"signal must be one-dimensional, got shape {values.shape}")
+    if values.size and not np.isfinite(values).all():
+        raise ValueError("signal samples must be finite (no NaN/Inf)")
+    return values
 
 
 def as_signal(x: ArrayLike) -> Signal:

@@ -127,12 +127,15 @@ class TestBenchAndSlope:
         assert abs(fits[0]["slope"] - 2.0) < 0.05
 
     @pytest.mark.parametrize("flags", [["--channels", "0"], ["--channels", "-3"],
-                                       ["--warmup", "-1"], ["--lengths", "0"]])
-    def test_no_channel_or_negative_warmup_is_usage_error(self, tmp_path, flags):
+                                       ["--warmup", "-1"], ["--lengths", "0"],
+                                       ["--trials", "0"],
+                                       ["--mode", "prompt", "--prompt-len", "-1"]])
+    def test_no_channel_or_negative_warmup_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "b.csv"
         rc = main(["bench", "--lengths", "16,32", "--trials", "1", *flags,
                    "--output", str(out)])
         assert rc == 2
+        assert f"error: {flags[-2]} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):

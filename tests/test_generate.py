@@ -80,6 +80,21 @@ class TestPrefill:
         cache = prefill(np.ones(1000), np.ones(1100), 16)
         assert len(cache) == 16
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prompt_rejected(self, bad):
+        prompt = np.ones(300)
+        prompt[123] = bad
+        with pytest.raises(ValueError, match="finite"):
+            prefill(prompt, np.ones(310), 8)
+
+    def test_prompt_read_in_place_left_unchanged(self):
+        rng = np.random.default_rng(15)
+        prompt, taps = rng.uniform(-1, 1, 5000), rng.uniform(-1, 1, 5100)
+        kept = prompt.copy()
+        got = prefill(prompt, taps, 100).contributions.values
+        np.testing.assert_array_equal(prompt, kept)
+        np.testing.assert_array_equal(got, prefill(prompt.tolist(), taps, 100).contributions.values)
+
 
 class TestPrompted:
     def test_place_value_example(self):

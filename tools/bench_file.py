@@ -4,7 +4,8 @@ Usage, from the root of a checkout::
 
     python3 tools/bench_file.py --number 6 --title "what changed" --seconds 30 \\
         --parent-commit ac58a2f --parent runs/parent.*.txt --change runs/change.*.txt \\
-        [--layers 'spectral.*' 'convolution.transform_calls.*'] [--out BENCH_6.json]
+        [--layers 'spectral.*' 'convolution.transform_calls.*'] [--out BENCH_6.json] \\
+        [--claim ttft_ms@prompt-long]
 
 Each input file is the standard output of one ``perfbench/run.py``
 run: its last line is the result JSON and the line before it the
@@ -16,10 +17,24 @@ each side gets the median over its runs (``parent`` and ``change``, as
 in BENCH_2.json) and its quartiles, and each section lists the seeds
 run; the runs do not print their ``--seconds``, so it is passed in.
 End-to-end metrics also count the pairs in which the change did better,
-pairing the runs of a workload in the order given: higher is better for
-tok/s, lower for every other unit. A run with a failed operation, or
+pairing the runs of a workload in the order given, and say whether every
+change run did better than every parent run; which way is better is read
+from ``BENCHMARK.json``. A run with a failed operation, or
 runs of different environments (python, numpy, scipy, nproc, cpu), are
 refused.
+
+With end-to-end runs the record gets a ``verdict`` block that applies
+the acceptance rule, reading each metric's ``bound`` from the same
+file. The claimed metric (``--claim
+METRIC@WORKLOAD``, optional) holds if the change did better in at least
+nine of ten pairs and its median is better than the parent's by more
+than the parent's interquartile distance. Every other metric is
+``within`` its bound, ``worse`` (the change median is worse than the
+parent median by more than ``bound`` times the parent median), or
+``unresolved`` (the parent's own interquartile distance is wider than
+that, unless every change run did better than every parent run, which
+counts as ``within``). ``passes`` is true when the claim, if any, holds and every other
+metric is ``within``.
 """
 
 from __future__ import annotations
@@ -33,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 ENVIRONMENT_KEYS = ("python", "numpy", "scipy", "nproc", "cpu", "caches")
-HIGHER_IS_BETTER = ("tok/s", "x")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+CLAIM_PAIR_SHARE = 0.9  # of the pairs a claimed gain must win
 
 
 def read_run(path: Path) -> dict:
@@ -53,8 +69,9 @@ def summary(values: list) -> dict:
     return {"median": float(median), "quartiles": [float(q1), float(q3)]}
 
 
-def compare(parent: list, change: list, pairs: bool) -> dict:
-    """Per-metric medians and quartiles of two lists of runs."""
+def compare(parent: list, change: list, bounds: dict | None = None) -> dict:
+    """Per-metric medians and quartiles of two lists of runs; with the
+    end-to-end ``bounds``, also how the change did run against run."""
     metrics = {}
     for name in sorted(parent[0]["result"]["metrics"]):
         unit = parent[0]["result"]["metrics"][name]["unit"]
@@ -67,12 +84,12 @@ def compare(parent: list, change: list, pairs: bool) -> dict:
             entry[label] = s["median"]
             entry[f"{label}_quartiles"] = s["quartiles"]
         entry["unit"] = unit
-        if pairs:
-            higher = unit in HIGHER_IS_BETTER
-            n = min(len(sides["parent"]), len(sides["change"]))
-            wins = sum((c > p) if higher else (c < p)
-                       for p, c in zip(sides["parent"][:n], sides["change"][:n]))
-            entry["change_better_pairs"] = f"{wins}/{n}"
+        if bounds is not None and name in bounds:
+            sign = 1.0 if bounds[name][0] == "higher" else -1.0
+            p, c = (sign * np.array(sides[label]) for label in ("parent", "change"))
+            n = min(len(p), len(c))
+            entry["change_better_pairs"] = f"{int(np.sum(c[:n] > p[:n]))}/{n}"
+            entry["change_better_every_run"] = bool(c.min() > p.max())
         metrics[name] = entry
     return metrics
 
@@ -97,8 +114,54 @@ def seeds(runs: list) -> list:
     return sorted({run["report"]["environment"]["seed"] for run in runs})
 
 
+def read_bounds() -> dict:
+    """``{name: (better, bound)}`` of the benchmark's end-to-end metrics."""
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def verdict(metrics: dict, bounds: dict, claim: str | None) -> dict:
+    """The acceptance rule over ``{workload: {metric: entry}}`` (see the module doc)."""
+    out = {"claim": None, "bounds": {}}
+    if claim is not None:
+        name, _, workload = claim.partition("@")
+        if name not in bounds or name not in metrics.get(workload, {}):
+            raise ValueError(f"--claim {claim}: no such end-to-end metric and workload")
+    for workload, entries in metrics.items():
+        for name, entry in entries.items():
+            if name not in bounds:
+                continue
+            better, bound = bounds[name]
+            sign = 1.0 if better == "higher" else -1.0
+            parent = entry["parent"]
+            gain = sign * (entry["change"] - parent)  # > 0: the change did better
+            q1, q3 = entry["parent_quartiles"]
+            if claim == f"{name}@{workload}":
+                wins, n = (int(x) for x in entry["change_better_pairs"].split("/"))
+                out["claim"] = {
+                    "metric": name, "workload": workload,
+                    "change_better_pairs": entry["change_better_pairs"],
+                    "median_gain": gain, "parent_iqr": q3 - q1,
+                    "holds": wins >= CLAIM_PAIR_SHARE * n and gain > q3 - q1}
+                continue
+            if entry["change_better_every_run"]:
+                status = "within"
+            elif q3 - q1 > bound * abs(parent):
+                status = "unresolved"
+            elif -gain > bound * abs(parent):
+                status = "worse"
+            else:
+                status = "within"
+            out["bounds"].setdefault(workload, {})[name] = {
+                "worse_by": -gain / abs(parent) if parent else 0.0, "bound": bound,
+                "verdict": status}
+    out["passes"] = (claim is None or out["claim"]["holds"]) and all(
+        v["verdict"] == "within" for entries in out["bounds"].values() for v in entries.values())
+    return out
+
+
 def build(title: str, parent_commit: str, parent: list, change: list,
-          layers: list, seconds: int) -> dict:
+          layers: list, seconds: int, claim: str | None = None) -> dict:
     record = {"change": title, "parent_commit": parent_commit,
               "environment": environment(parent + change)}
     for trace, section in ((0, "end_to_end"), (1, "per_layer")):
@@ -110,24 +173,29 @@ def build(title: str, parent_commit: str, parent: list, change: list,
             raise ValueError(f"--trace {trace} runs on one side only")
         if trace:
             workload = p[0]["report"]["workload"]
-            metrics = keep_layers(compare(p, c, pairs=False), layers)
+            metrics = keep_layers(compare(p, c), layers)
             runs = {"parent": len(p), "change": len(c)}
             run_seeds = seeds(p + c)
         else:
             workload = "W"
+            bounds = read_bounds()
             metrics, runs, run_seeds = {}, {}, {}
             for wl in sorted({r["report"]["workload"] for r in p + c}):
                 pw = [r for r in p if r["report"]["workload"] == wl]
                 cw = [r for r in c if r["report"]["workload"] == wl]
                 if not pw or not cw:
                     raise ValueError(f"{wl}: runs on one side only")
-                metrics[wl] = compare(pw, cw, pairs=True)
+                metrics[wl] = compare(pw, cw, bounds)
                 runs[wl] = {"parent": len(pw), "change": len(cw)}
                 run_seeds[wl] = seeds(pw + cw)
         command = (f"python3 perfbench/run.py --workload {workload} --seed N "
                    f"--seconds {seconds} --trace {trace}")
         record[section] = {"command": command, "runs_per_side": runs,
                            "seeds": run_seeds, "metrics": metrics}
+        if not trace:
+            record["verdict"] = verdict(metrics, bounds, claim)
+    if claim is not None and "verdict" not in record:
+        raise ValueError(f"--claim {claim} needs end-to-end runs")
     return record
 
 
@@ -141,12 +209,14 @@ def main(argv=None) -> int:
     parser.add_argument("--change", nargs="+", required=True, type=Path)
     parser.add_argument("--layers", nargs="*", default=[])
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--claim", metavar="METRIC@WORKLOAD")
     args = parser.parse_args(argv)
     try:
         record = build(args.title, args.parent_commit,
                        [read_run(p) for p in args.parent],
-                       [read_run(p) for p in args.change], args.layers, args.seconds)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+                       [read_run(p) for p in args.change], args.layers, args.seconds,
+                       args.claim)
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"bench_file: {exc}", file=sys.stderr)
         return 1
     out = args.out or Path(f"BENCH_{args.number}.json")

@@ -39,34 +39,31 @@ TOLERANCE_SCALE = 1e-9
 # The direct path costs one multiply-add per (input, window position)
 # pair; the transform path costs real transforms of n points plus a
 # fixed per-call overhead of tens of microseconds. Direct summation is
-# chosen while
-#     macs <= max(_DIRECT_MACS_FLOOR, _DIRECT_MACS_PER_POINT * n * log2(n)).
-# Fitted with numpy 2.4 on a 2-vCPU Xeon: a continuous engine level
-# (m inputs, m outputs, n = 2m) is served faster directly up to
-# m = 512 (39 us against 66 us) and through the transform from
-# m = 1024 on (92 us against 131 us); an epoched rebuild of K = 1024
-# slots always takes the transform, one of K <= 32 slots after up to
-# 2**16 inputs never does. Both constants are bounded, so the
-# O(n log n) contract of the fast path holds.
+# chosen while macs <= _DIRECT_MACS_PER_POINT * n * log2(n). Fitted with
+# numpy 2.4 on a 2-vCPU Xeon: a continuous engine level (m inputs, m
+# outputs, n = 2m) is served faster directly up to m = 512 (39 us
+# against 66 us) and through the transform from m = 1024 on (92 us
+# against 131 us); an epoched rebuild of K = 1024 slots always takes the
+# transform, one of K <= 32 slots after up to 2**16 inputs never does.
+# The factor is bounded, so the O(n log n) contract of the fast path
+# holds.
 _DIRECT_MACS_PER_POINT = 24
-_DIRECT_MACS_FLOOR = 1 << 18
 
-# A transform whose window is narrow next to its input goes through a
-# batch of short transforms of next_pow2(_BLOCKED_POINTS_PER_OUTPUT *
-# count) points instead (see _blocked_transform). On the host above one
-# long real transform ran at 10-25 ns per point and a batch of short
-# ones at about 7. The 2**18-sample prompt's prefill took 10 ms blocked
-# against 56 ms as one 2**19-point transform; the 63 rebuilds of an
-# epoched engine at L = 2**16, K = 1024 took 70-100 ms with 4096-point
-# transforms, against 100-140 ms with 2048- or 8192-point ones and
-# about 120 ms with one long transform each.
+# A transform whose input holds at least one full block goes through a
+# batch of short transforms over blocks of it (see _blocked_transform):
+# on the host above one long real transform ran at 10-25 ns per point
+# and a batch of short ones at about 7. The short transforms have
+# next_pow2(width * count) points, the width measured on each side
+# (medians of 9, the two widths interleaved, one BLAS thread):
+# - one-row windows, width 4: the 63 rebuilds of an epoched engine at
+#   L = 2**16, K = 1024 took 51.5 ms against 63.1 ms at width 2, and
+#   the 2**18-sample prompt's prefill at K = 4096 7.8 ms against 10.8;
+# - windows with leading axes, width 2: there is one inverse transform
+#   per output row, and those dominate (16 filters over 8 channels are
+#   128 inverse transforms against 8 + 16 forward ones per block), so
+#   the 10 rebuilds of such an engine at L = 1024, K = 101 took 5.5 ms
+#   against 6.1 ms at width 4.
 _BLOCKED_POINTS_PER_OUTPUT = 4
-
-# With leading axes there is one inverse transform per output row, and
-# those dominate a rebuild: 16 filters over 8 channels are 128 inverse
-# transforms against 8 + 16 forward ones per block. So a batched window
-# takes the blocked path as soon as its input holds one full block, with
-# blocks of next_pow2(_BATCHED_POINTS_PER_OUTPUT * count) points.
 _BATCHED_POINTS_PER_OUTPUT = 2
 
 _fast_conv_calls = 0
@@ -137,8 +134,8 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     (one-row windows only: one multiply-add per input and output) or
     multiplied in one circular transform of ``n >= max(len(a) + len(b)
     - 1 - start, start + count)`` points, the least length at which no
-    wrapped term lands in the window -- or, when the window is narrow
-    next to ``a``, in a batch of short ones over blocks of ``a``.
+    wrapped term lands in the window -- or, once ``a`` holds one full
+    block, in a batch of short ones over blocks of ``a``.
     """
     global _fast_conv_calls
     _fast_conv_calls += 1
@@ -163,18 +160,15 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
         n = end
     if a.ndim == 1 and b.ndim == 1:
         macs = la * (count if count < lb else lb)
-        if macs <= max(_DIRECT_MACS_FLOOR, _DIRECT_MACS_PER_POINT * n * n.bit_length()):
+        if macs <= _DIRECT_MACS_PER_POINT * n * n.bit_length():
             return _direct(a, b, start, count)
         n_short = next_pow2(_BLOCKED_POINTS_PER_OUTPUT * count)
-        blocked = la > 2 * (n_short - count + 1)
     else:
         n_short = next_pow2(_BATCHED_POINTS_PER_OUTPUT * count)
-        blocked = la >= n_short - count + 1  # one full block
-    if blocked and start >= la - 1:
+    if start >= la - 1 and la >= n_short - count + 1:  # one full block
         return _blocked_transform(a, b, start, count, n_short)
     n = next_pow2(n)
-    spec = _product(_fft.rfft(a, n), _fft.rfft(b, n))
-    return _fft.irfft(spec, n)[..., start:end]
+    return _fft.irfft(_fft.rfft(a, n) * _fft.rfft(b, n), n)[..., start:end]
 
 
 def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -196,17 +190,9 @@ def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     return np.correlate(seg, a[::-1])
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x * y``, in place in ``x`` when it already has the broadcast shape."""
-    if x.shape == y.shape or x.shape == np.broadcast_shapes(x.shape, y.shape):
-        x *= y
-        return x
-    return x * y
-
-
 def _blocked_transform(a: np.ndarray, b: np.ndarray, start: int, count: int,
                        n: int) -> np.ndarray:
-    """:func:`middle`'s transform path for a window much narrower than ``a``.
+    """:func:`middle`'s transform path for an ``a`` of at least one block.
 
     Needs ``start >= len(a) - 1``: the window begins at or after the
     last input. ``a`` is cut, from its end, into blocks of
@@ -230,15 +216,12 @@ def _blocked_transform(a: np.ndarray, b: np.ndarray, start: int, count: int,
     blocks = a[..., rem:].reshape(a.shape[:-1] + (n_full, block))
     fa = _fft.rfft(blocks, n, axis=-1)
     fb = _fft.rfft(segs[..., (n_full - 1) * block::-block, :], n, axis=-1)
-    if fa.shape == np.broadcast_shapes(fa.shape, fb.shape):
-        spec = _product(fa, fb).sum(axis=-2)  # the products in place in fa
-    else:
-        # the products of all blocks at once would be n_full times the
-        # size of the result: add them one block at a time, oldest first
-        spec = fa[..., 0, :] * fb[..., 0, :]
-        term = np.empty_like(spec)
-        for j in range(1, n_full):
-            spec += np.multiply(fa[..., j, :], fb[..., j, :], out=term)
+    # add the block products one block at a time, oldest first: all of
+    # them at once would be n_full times the size of the result
+    spec = fa[..., 0, :] * fb[..., 0, :]
+    term = np.empty_like(spec)
+    for j in range(1, n_full):
+        spec += np.multiply(fa[..., j, :], fb[..., j, :], out=term)
     if rem:
         # the oldest, partial block, right-aligned in its zero-padded slot
         part = np.zeros(a.shape[:-1] + (block,))

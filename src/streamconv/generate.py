@@ -129,6 +129,11 @@ def generate_scratch(
     )
 
 
+def _read_taps(phi: Filter | ArrayLike) -> np.ndarray:
+    """The stored taps of a :class:`Filter`, or plain taps checked, not copied."""
+    return phi.taps_array() if isinstance(phi, Filter) else finite_samples(phi)
+
+
 def prefill(
     prompt: ArrayLike,
     phi: Filter | ArrayLike,
@@ -143,14 +148,15 @@ def prefill(
     the full product. A ``gen_budget`` of zero yields
     a valid empty cache.
     """
-    prompt = finite_samples(prompt)  # read once, so not copied
-    phi = as_filter(phi)
-    k = int(gen_budget)
+    return _prefill(finite_samples(prompt), _read_taps(phi), int(gen_budget))
+
+
+def _prefill(prompt: np.ndarray, taps: np.ndarray, k: int) -> PrefillCache:
+    """:func:`prefill` of a checked prompt and taps, each read once."""
     if k < 0:
         raise ConfigurationError("generation budget must be >= 0")
     if k == 0:
         return PrefillCache(Signal(np.zeros(0)), 0)
-    taps = phi.taps_array()
     if prompt.size == 0 or taps.size == 0:
         return PrefillCache(Signal(np.zeros(k)), 0)
     return PrefillCache(Signal(conv.middle(prompt, taps, prompt.size - 1, k)), 1)
@@ -172,13 +178,12 @@ def generate_prompted(
     Auxiliary memory during decode is the prefill cache plus the
     engine cache -- O(gen_budget), independent of the prompt length.
     """
-    phi = as_filter(phi)
+    taps = _read_taps(phi)
     k = int(gen_budget)
-    cache = prefill(prompt, phi, k)
+    cache = _prefill(finite_samples(prompt), taps, k)
     if k == 0:
         return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0)
     tmap = token_map or identity_token
-    taps = phi.taps_array()
     decode_filter = Filter(taps[:min(k, taps.size)], k)
     engine = make_engine(engine_kind, decode_filter, k, epoch_len)
 

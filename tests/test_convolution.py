@@ -193,17 +193,16 @@ def record_paths(monkeypatch, *modules):
 
 
 class TestMiddle:
-    # (per-point factor, floor) of the direct-vs-transform cost model,
-    # which applies to one-row windows only: the measured one, always
-    # direct, always transform. Windows with leading axes always take a
+    # per-point factor of the direct-vs-transform cost model, which
+    # applies to one-row windows only: the measured one, always direct,
+    # always transform. Windows with leading axes always take a
     # transform, the blocked one or one over the whole reach.
-    PATHS = [(conv._DIRECT_MACS_PER_POINT, conv._DIRECT_MACS_FLOOR),
-             (10 ** 9, 10 ** 18), (0, -1)]
+    PATHS = [pytest.param(factor, id=f"model{i}")
+             for i, factor in enumerate([conv._DIRECT_MACS_PER_POINT, 10 ** 9, 0])]
 
     @pytest.mark.parametrize("model", PATHS)
     def test_matches_window_of_full_product(self, monkeypatch, model):
-        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model[0])
-        monkeypatch.setattr(conv, "_DIRECT_MACS_FLOOR", model[1])
+        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model)
         rng = np.random.default_rng(29)
         for _ in range(600):
             a = rng.uniform(-1, 1, int(rng.integers(0, 300)))
@@ -232,6 +231,22 @@ class TestMiddle:
         want = np.array([np.dot(u, taps[t + q:q:-1]) for q in range(k)])
         assert rel_err(got, want) < 1e-12
 
+    def test_early_one_row_rebuild_takes_the_blocked_path(self, monkeypatch):
+        # an epoched rebuild at L = 2**16, K = 1024 as soon as the input
+        # holds one full block of 4096 - 1024 + 1 samples
+        calls = []
+        blocked = conv._blocked_transform
+        monkeypatch.setattr(conv, "_blocked_transform",
+                            lambda *args: calls.append(args[-1]) or blocked(*args))
+        rng = np.random.default_rng(41)
+        t, k = 4096, 1024
+        u = rng.uniform(-1, 1, t)
+        taps = rng.uniform(-1, 1, 1 << 16)
+        got = middle(u, taps, t, k)
+        assert calls == [4096]
+        want = np.array([np.dot(u, taps[t + q:q:-1]) for q in range(k)])
+        assert rel_err(got, want) < 1e-12
+
     def test_counts_one_call_per_window(self):
         before = conv.transform_calls()
         middle(np.ones(3), np.ones(3), 1, 2)
@@ -246,8 +261,7 @@ class TestMiddle:
 
     @pytest.mark.parametrize("model", PATHS)
     def test_leading_axes_match_row_by_row(self, monkeypatch, model):
-        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model[0])
-        monkeypatch.setattr(conv, "_DIRECT_MACS_FLOOR", model[1])
+        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model)
         rng = np.random.default_rng(37)
         for trial in range(150):
             lead_a, lead_b = self.LEADS[trial % len(self.LEADS)]
@@ -321,8 +335,7 @@ class TestMiddle:
     def test_leading_axes_never_take_the_direct_path(self, monkeypatch, model, kind):
         # stu-online's shape: 16 filters over 8 channels at L = 1024,
         # the bank's Hankel products included
-        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model[0])
-        monkeypatch.setattr(conv, "_DIRECT_MACS_FLOOR", model[1])
+        monkeypatch.setattr(conv, "_DIRECT_MACS_PER_POINT", model)
         paths = record_paths(monkeypatch, engines_module, spectral_module)
         rng = np.random.default_rng(53)
         bank = spectral_filters(1024, 16)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,29 @@ class TestPrefill:
         got = prefill(prompt, taps, 100).contributions.values
         np.testing.assert_array_equal(prompt, kept)
         np.testing.assert_array_equal(got, prefill(prompt.tolist(), taps, 100).contributions.values)
+
+    @pytest.mark.parametrize("call", [prefill, generate_prompted])
+    def test_array_taps_read_without_copy(self, call):
+        # 2**20 taps are 8 MiB: a copy of them would be the whole peak
+        rng = np.random.default_rng(16)
+        prompt, taps = rng.uniform(-1, 1, 16), rng.uniform(-1, 1, 1 << 20)
+        want = call(prompt, Filter(taps), 16)
+        tracemalloc.start()
+        try:
+            got = call(prompt, taps, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < taps.nbytes // 4
+        field = "contributions" if call is prefill else "outputs"
+        assert getattr(got, field).values.tobytes() == getattr(want, field).values.tobytes()
+
+    @pytest.mark.parametrize("call", [prefill, generate_prompted])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "2-d"])
+    def test_bad_array_taps_rejected(self, call, bad):
+        taps = np.ones((2, 8)) if bad == "2-d" else np.full(16, bad)
+        with pytest.raises(ValueError):
+            call(np.ones(16), taps, 4)
 
 
 class TestPrompted:

@@ -205,6 +205,7 @@ def _cmd_gen(args) -> int:
         "seed": args.seed,
         "prefill_transform_calls": result.prefill_transform_calls,
         "decode_peak_aux_elems": result.decode_peak_aux_elems,
+        "filter_spectra_elems": result.filter_spectra_elems,
         "meter": result.meter.as_dict(),
     }
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:

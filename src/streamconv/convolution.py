@@ -54,10 +54,13 @@ _DIRECT_MACS_PER_POINT = 24
 # on the host above one long real transform ran at 10-25 ns per point
 # and a batch of short ones at about 7. The short transforms have
 # next_pow2(width * count) points, the width measured on each side
-# (medians of 9, the two widths interleaved, one BLAS thread):
+# (medians of 9, the widths interleaved, one BLAS thread):
 # - one-row windows, width 4: the 63 rebuilds of an epoched engine at
 #   L = 2**16, K = 1024 took 51.5 ms against 63.1 ms at width 2, and
-#   the 2**18-sample prompt's prefill at K = 4096 7.8 ms against 10.8;
+#   the 2**18-sample prompt's prefill at K = 4096 9.0 ms against 11.7
+#   with every tap segment transformed (array taps, or a Filter's first
+#   prefill) and 5.8 against 7.2 ms once a Filter holds their spectra
+#   (width 8: 9.5 and 6.1 ms);
 # - windows with leading axes, width 2: there is one inverse transform
 #   per output row, and those dominate (16 filters over 8 channels are
 #   128 inverse transforms against 8 + 16 forward ones per block), so
@@ -76,16 +79,17 @@ def _keep_freed_blocks() -> None:
     """Have the C library reuse freed blocks of up to 32 MiB (run at import).
 
     :func:`middle` allocates and frees its transform temporaries on every
-    call: about 11 MiB for the 2**18-sample prompt's prefill at K = 4096,
-    about 1 MiB for a batched engine's level update or rebuild. Under
-    glibc's default, self-adjusting thresholds such a block is a fresh
-    mapping until a larger one has been freed, and the top of the heap
-    goes back to the system once twice that is free, so its pages fault
-    in again on every call: about 2,400 minor faults for a second such
-    prefill in a fresh process, against none with the thresholds fixed
-    at the largest value glibc's own adjustment reaches (32 MiB, and
-    twice that for trimming). Process-wide; a no-op where the C library
-    has no ``mallopt``.
+    call: a peak of about 6 MiB for the 2**18-sample prompt's prefill at
+    K = 4096 with array taps (3.2 MiB through a Filter that holds its
+    tap spectra), about 1 MiB for a batched engine's level update or
+    rebuild. Under glibc's default, self-adjusting thresholds such a
+    block is a fresh mapping until a larger one has been freed, and the
+    top of the heap goes back to the system once twice that is free, so
+    its pages fault in again on every call: 1,376-1,504 minor faults for
+    each later such prefill with array taps in a fresh process, against
+    none with the thresholds fixed at the largest value glibc's own
+    adjustment reaches (32 MiB, and twice that for trimming).
+    Process-wide; a no-op where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -117,7 +121,8 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
+def middle(a: np.ndarray, b: np.ndarray, start: int, count: int,
+           spectra: list | None = None) -> np.ndarray:
     """Window ``start .. start+count-1`` (0-based) of the full convolution.
 
     Returns ``count`` values, the one at index ``q`` being
@@ -136,6 +141,13 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     - 1 - start, start + count)`` points, the least length at which no
     wrapped term lands in the window -- or, once ``a`` holds one full
     block, in a batch of short ones over blocks of ``a``.
+
+    ``spectra`` is a store (a list, empty at first) of ``b``'s
+    tap-segment spectra for that batch, owned by the caller and valid
+    for this ``b`` only (a :class:`~streamconv.signal.Filter` keeps one
+    for its taps): they are read from it when it holds them, and
+    otherwise computed and stored in it (see :func:`_segment_spectra`).
+    Without one every transform is computed afresh.
     """
     global _fast_conv_calls
     _fast_conv_calls += 1
@@ -153,22 +165,20 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
         lb = end  # taps past the window are never read
     if count <= 0 or la == 0 or lb == 0 or start >= la + lb - 1:
         return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(count, 0),))
-    if lb < b.shape[-1]:
-        b = b[..., :lb]
     n = la + lb - 1 - start
     if n < end:
         n = end
     if a.ndim == 1 and b.ndim == 1:
         macs = la * (count if count < lb else lb)
         if macs <= _DIRECT_MACS_PER_POINT * n * n.bit_length():
-            return _direct(a, b, start, count)
+            return _direct(a, b[:lb], start, count)
         n_short = next_pow2(_BLOCKED_POINTS_PER_OUTPUT * count)
     else:
         n_short = next_pow2(_BATCHED_POINTS_PER_OUTPUT * count)
     if start >= la - 1 and la >= n_short - count + 1:  # one full block
-        return _blocked_transform(a, b, start, count, n_short)
+        return _blocked_transform(a, b, spectra, start, count, n_short)
     n = next_pow2(n)
-    return _fft.irfft(_fft.rfft(a, n) * _fft.rfft(b, n), n)[..., start:end]
+    return _fft.irfft(_fft.rfft(a, n) * _fft.rfft(b[..., :lb], n), n)[..., start:end]
 
 
 def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -190,45 +200,80 @@ def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     return np.correlate(seg, a[::-1])
 
 
-def _blocked_transform(a: np.ndarray, b: np.ndarray, start: int, count: int,
-                       n: int) -> np.ndarray:
+def _blocked_transform(a: np.ndarray, b: np.ndarray, spectra: list | None, start: int,
+                       count: int, n: int) -> np.ndarray:
     """:func:`middle`'s transform path for an ``a`` of at least one block.
 
     Needs ``start >= len(a) - 1``: the window begins at or after the
     last input. ``a`` is cut, from its end, into blocks of
     ``block = n - count + 1`` inputs; block ``j`` (``j = 0`` newest)
-    meets the window through the ``n`` taps from
+    meets the window through tap segment ``j``, the ``n`` taps from
     ``start - len(a) + 1 + j*block``, so its share is the valid part of
-    an ``n``-point circular product. The blocks and their tap segments
-    are views, transformed in one batch each per row; the spectra are
-    summed before the single inverse transform.
+    an ``n``-point circular product. The blocks are views, transformed
+    in one batch per row; the segments' spectra come from
+    :func:`_segment_spectra`, through the store ``spectra`` if there is
+    one. The products are summed before the single inverse transform.
+    ``b`` may run past the window's end: a tap at or past
+    ``start + count`` meets only the zero padding of the oldest,
+    partial block, or lands outside the window.
     """
     block = n - count + 1
     la = a.shape[-1]
     n_full, rem = divmod(la, block)
-    first = start - la + 1  # tap offset of the newest block
-    reach = first + n_full * block + count - 1  # one past the last tap a full block reads
-    if b.shape[-1] < reach:
-        pad = np.zeros(b.shape[:-1] + (reach - b.shape[-1],))
-        b = np.concatenate((b, pad), axis=-1)
-    # tap segments of the full blocks, oldest first like the block rows
-    segs = np.lib.stride_tricks.sliding_window_view(b[..., first:reach], n, axis=-1)
+    fb = _segment_spectra(b, spectra, start - la + 1, block, n, n_full + (rem > 0))
     blocks = a[..., rem:].reshape(a.shape[:-1] + (n_full, block))
     fa = _fft.rfft(blocks, n, axis=-1)
-    fb = _fft.rfft(segs[..., (n_full - 1) * block::-block, :], n, axis=-1)
     # add the block products one block at a time, oldest first: all of
     # them at once would be n_full times the size of the result
-    spec = fa[..., 0, :] * fb[..., 0, :]
+    spec = fa[..., 0, :] * fb[..., n_full - 1, :]
     term = np.empty_like(spec)
     for j in range(1, n_full):
-        spec += np.multiply(fa[..., j, :], fb[..., j, :], out=term)
+        spec += np.multiply(fa[..., j, :], fb[..., n_full - 1 - j, :], out=term)
     if rem:
         # the oldest, partial block, right-aligned in its zero-padded slot
         part = np.zeros(a.shape[:-1] + (block,))
         part[..., block - rem:] = a[..., :rem]
-        tail = first + n_full * block
-        spec += _fft.rfft(part, n) * _fft.rfft(b[..., tail:tail + n], n)
+        spec += _fft.rfft(part, n) * fb[..., n_full, :]
     return _fft.irfft(spec, n)[..., block - 1:block - 1 + count]
+
+
+def _segment_spectra(b: np.ndarray, store: list | None, first: int, block: int, n: int,
+                     count: int) -> np.ndarray:
+    """Spectra of tap segments ``0 .. count-1`` (newest block's first).
+
+    Segment ``j`` is the ``n`` taps of ``b`` from ``first + j*block``,
+    zero past the end of ``b``; the result has shape ``b.shape[:-1] +
+    (count, n // 2 + 1)``, or more segments when read from a store. A
+    ``store`` is a list, empty or holding one ``(geometry, spectra)``
+    pair: the spectra are read from it if it holds at least ``count``
+    segments for the geometry ``(first, block, n)``, and otherwise
+    computed and the pair replaced. The pair is read once and replaced
+    in one step, and a stored array is never written, so a store may be
+    shared between threads.
+    """
+    key = (first, block, n)
+    entry = store[0] if store else None
+    if entry is not None and entry[0] == key and entry[1].shape[-2] >= count:
+        return entry[1]
+    fb = np.empty(b.shape[:-1] + (count, n // 2 + 1), dtype=complex)
+    # segments that end inside b are strided views, transformed in one
+    # batch; rfft zero-pads the rest, one at a time
+    inside = max(0, min(count, (b.shape[-1] - first - n) // block + 1))
+    if inside:
+        segs = np.lib.stride_tricks.sliding_window_view(
+            b[..., first:first + (inside - 1) * block + n], n, axis=-1)
+        _fft.rfft(segs[..., ::block, :], n, axis=-1, out=fb[..., :inside, :])
+    for j in range(inside, count):
+        s = first + j * block
+        _fft.rfft(b[..., s:s + n], n, out=fb[..., j, :])
+    if store is not None:
+        store[:] = [(key, fb)]
+    return fb
+
+
+def spectra_floats(store: list | None) -> int:
+    """Float elements a spectra store of :func:`middle` holds (0 for none)."""
+    return 2 * store[0][1].size if store else 0
 
 
 def conv_causal_reference(u: ArrayLike, phi: Filter | ArrayLike) -> Signal:

@@ -473,10 +473,13 @@ class EpochedEngine(_BlockedEngine):
     The block is the epoch (B = K). When the phase wraps, the cache is
     repopulated with the future contribution of everything seen so
     far, obtained from one :func:`~streamconv.convolution.middle`
-    product whose transforms span about t + K points, not the 2t + K of
-    the full product. Only the slots a later push can read are filled:
-    none at all for the rebuild at the horizon, which is still counted
-    and charged.
+    product that never spans the 2t + K points of the full one: it is
+    summed directly while that is cheap, and otherwise transformed --
+    as a batch of short transforms over blocks of the past once that
+    holds one block (next_pow2(4K) points, next_pow2(2K) with leading
+    axes), and before that in one transform of about t + K points.
+    Only the slots a later push can read are filled: none at all for
+    the rebuild at the horizon, which is still counted and charged.
     """
 
     __slots__ = ("epoch_len",)

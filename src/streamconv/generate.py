@@ -67,6 +67,7 @@ class PrefillCache:
 
     contributions: Signal
     transform_calls: int
+    filter_spectra_elems: int = 0  # floats the Filter holds for prefill
 
     def __len__(self) -> int:
         return len(self.contributions)
@@ -80,6 +81,7 @@ class GenerationResult:
     meter: CostMeter
     prefill_transform_calls: int = 0
     decode_peak_aux_elems: int = 0
+    filter_spectra_elems: int = 0  # floats the Filter holds for prefill
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -129,9 +131,12 @@ def generate_scratch(
     )
 
 
-def _read_taps(phi: Filter | ArrayLike) -> np.ndarray:
-    """The stored taps of a :class:`Filter`, or plain taps checked, not copied."""
-    return phi.taps_array() if isinstance(phi, Filter) else finite_samples(phi)
+def _read_taps(phi: Filter | ArrayLike) -> tuple[np.ndarray, list | None]:
+    """The stored taps of a :class:`Filter` and its spectra store, or plain
+    taps checked, not copied, and no store."""
+    if isinstance(phi, Filter):
+        return phi.taps_array(), phi._spectra
+    return finite_samples(phi), None
 
 
 def prefill(
@@ -143,23 +148,35 @@ def prefill(
 
     Slot s equals ``sum_{j=s}^{s+L-1} p_{s+L-j} * phi_j`` -- 1-based
     positions L .. L+K-1 of ``conv_full(p, phi)`` -- computed as one
-    :func:`~streamconv.convolution.middle` window of that convolution,
-    whose transform spans about L + K points rather than the 2L + K of
-    the full product. A ``gen_budget`` of zero yields
-    a valid empty cache.
+    :func:`~streamconv.convolution.middle` window of that convolution:
+    summed directly while that is cheap, otherwise through transforms,
+    never of the 2L + K points of the full product. Once the prompt
+    holds ``next_pow2(4K) - K + 1`` samples they are a batch of
+    ``next_pow2(4K)``-point transforms over blocks of the prompt, each
+    block against its own segment of the taps; before that, one
+    transform of about L + K points.
+
+    A :class:`Filter` keeps the spectra of those tap segments for the
+    last budget it served (``filter_spectra_elems`` floats, about
+    1.33 per tap), so a later prefill with that budget and a prompt no
+    longer than the one they were computed for transforms only the
+    prompt's blocks; otherwise they are computed again and replace the
+    stored ones. Plain array taps are transformed on every call. A ``gen_budget`` of
+    zero yields a valid empty cache.
     """
-    return _prefill(finite_samples(prompt), _read_taps(phi), int(gen_budget))
+    return _prefill(finite_samples(prompt), *_read_taps(phi), int(gen_budget))
 
 
-def _prefill(prompt: np.ndarray, taps: np.ndarray, k: int) -> PrefillCache:
+def _prefill(prompt: np.ndarray, taps: np.ndarray, spectra: list | None,
+             k: int) -> PrefillCache:
     """:func:`prefill` of a checked prompt and taps, each read once."""
     if k < 0:
         raise ConfigurationError("generation budget must be >= 0")
-    if k == 0:
-        return PrefillCache(Signal(np.zeros(0)), 0)
-    if prompt.size == 0 or taps.size == 0:
-        return PrefillCache(Signal(np.zeros(k)), 0)
-    return PrefillCache(Signal(conv.middle(prompt, taps, prompt.size - 1, k)), 1)
+    if k == 0 or prompt.size == 0 or taps.size == 0:
+        slots, calls = np.zeros(k), 0
+    else:
+        slots, calls = conv.middle(prompt, taps, prompt.size - 1, k, spectra), 1
+    return PrefillCache(Signal(slots), calls, conv.spectra_floats(spectra))
 
 
 def generate_prompted(
@@ -178,11 +195,12 @@ def generate_prompted(
     Auxiliary memory during decode is the prefill cache plus the
     engine cache -- O(gen_budget), independent of the prompt length.
     """
-    taps = _read_taps(phi)
+    taps, spectra = _read_taps(phi)
     k = int(gen_budget)
-    cache = _prefill(finite_samples(prompt), taps, k)
+    cache = _prefill(finite_samples(prompt), taps, spectra, k)
     if k == 0:
-        return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0)
+        return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0,
+                                cache.filter_spectra_elems)
     tmap = token_map or identity_token
     decode_filter = Filter(taps[:min(k, taps.size)], k)
     engine = make_engine(engine_kind, decode_filter, k, epoch_len)
@@ -202,6 +220,7 @@ def generate_prompted(
         meter=meter,
         prefill_transform_calls=cache.transform_calls,
         decode_peak_aux_elems=k + meter.peak_aux_elems,
+        filter_spectra_elems=cache.filter_spectra_elems,
     )
 
 

@@ -97,11 +97,18 @@ class Filter:
     Stored taps may be shorter than the declared context length; reads
     beyond the stored taps return zero (the kernel is implicitly
     zero-padded to any length an operation requires).
+
+    A Filter also keeps the spectra of its tap segments for the last
+    prefill geometry it served (see ``convolution.middle``), so that
+    later prefills do not transform the taps again. They are derived
+    from the taps alone and are not part of the value: copies and
+    pickles leave them out.
     """
 
-    __slots__ = ("_taps", "_context_length")
+    __slots__ = ("_taps", "_context_length", "_spectra")
 
     def __init__(self, taps: ArrayLike, context_length: int | None = None):
+        self._spectra: list = []
         self._taps = as_signal(taps)
         if context_length is None:
             context_length = max(1, len(self._taps))
@@ -132,6 +139,9 @@ class Filter:
 
     def __len__(self) -> int:
         return len(self._taps)
+
+    def __reduce__(self):
+        return Filter, (self._taps, self._context_length)
 
     def __repr__(self) -> str:
         return f"Filter({self._taps!r}, context_length={self._context_length})"

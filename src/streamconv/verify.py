@@ -30,7 +30,7 @@ from .engines import (
     optimal_epoch_length,
 )
 from .errors import ConfigurationError
-from .generate import generate_prompted, oracle_prompted
+from .generate import clamp_token, generate_prompted, oracle_prompted
 from .rng import stream_seed
 from .signal import Filter
 from .spectral import StuModel, hankel_entry, ogd_spectral_step, spectral_filters
@@ -216,21 +216,41 @@ def suite_cost_bounds(res: SuiteResult, seed: int, max_l: int) -> None:
 
 
 def suite_prompted_oracle(res: SuiteResult, seed: int, max_l: int) -> None:
-    """Prompted generation vs the direct recurrence oracle."""
+    """Prompted generation vs the direct recurrence oracle.
+
+    Each case runs once with plain array taps and once through a
+    :class:`Filter` with two prompts, the second of which reads the tap
+    spectra the first one stored (at K = 512 prompts from 1537 samples
+    on have them); the clamp token map keeps those outputs bounded.
+    """
     rng = _rng(seed, 5)
-    for p_len in range(0, 25, 3):
-        for k in range(1, 25, 3):
-            p = rng.uniform(-1, 1, p_len)
-            taps = rng.uniform(-1, 1, p_len + k)
-            want = oracle_prompted(p, taps, k).values
-            tol = 1e-8 * (1.0 + float(np.max(np.abs(want))))
+
+    def check(p, taps, k, kind, tmap=None, **instance):
+        want = oracle_prompted(p, taps, k, tmap).values
+        got = generate_prompted(p, taps, k, kind, tmap).outputs.values
+        err = float(np.max(np.abs(got - want)))
+        res.check(err)
+        if err > 1e-8 * (1.0 + float(np.max(np.abs(want)))):
+            if isinstance(taps, Filter):
+                taps = taps.taps_array()
+            res.fail(L_prompt=p.size, K=k, engine=kind, error=err, p=_serialize(p),
+                     taps=_serialize(taps), **instance)
+
+    cases = [(p_len, k) for p_len in range(0, 25, 3) for k in range(1, 25, 3)]
+    for p_len, k in cases:
+        p = rng.uniform(-1, 1, p_len)
+        taps = rng.uniform(-1, 1, p_len + k)
+        for kind in ("naive", "epoched", "continuous"):
+            check(p, taps, k, kind)
+    frng = _rng(seed, 7)
+    if max_l // 2 >= 1537:
+        cases.append((max_l, 512))
+    for p_len, k in cases:
+        phi = Filter(frng.uniform(-1, 1, p_len + k))
+        for call, n in enumerate((p_len // 2, p_len)):
+            p = frng.uniform(-1, 1, n)
             for kind in ("naive", "epoched", "continuous"):
-                got = generate_prompted(p, taps, k, kind).outputs.values
-                err = float(np.max(np.abs(got - want)))
-                res.check(err)
-                if err > tol:
-                    res.fail(L_prompt=p_len, K=k, engine=kind, error=err,
-                             p=_serialize(p), taps=_serialize(taps))
+                check(p, phi, k, kind, clamp_token(), through="Filter", call=call)
     # cache size stays pinned to the budget as the prompt grows
     k = 64
     for p_len in (256, 1024, min(4096, max_l)):

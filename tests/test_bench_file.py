@@ -50,6 +50,35 @@ def test_record_layout_medians_quartiles_and_pairs(tmp_path):
     assert "change_better_pairs" not in layers["spectral.pushes_per_step"]
 
 
+def test_host_drift_is_the_ratio_of_floor_medians(tmp_path):
+    report = json.loads((FIXTURES / "parent.trace.txt").read_text().splitlines()[0])
+    paths = {"parent": [], "change": []}
+    floors = {"parent": [150.0, 146.0, 152.0], "change": [197.0, 246.0, 200.0]}
+    for side, values in floors.items():
+        for i, floor in enumerate(values):
+            result = {"correct": True, "attempted": 9, "failed": 0, "metrics": {
+                "generate.floor_ns_per_tok": {"value": floor, "unit": "ns"},
+                "generate.prefill_ms": {"value": 9.0, "unit": "ms"}}}
+            path = tmp_path / f"{side}.trace.{i}.txt"
+            path.write_text(json.dumps(report) + "\n" + json.dumps(result) + "\n")
+            paths[side].append(path.name)
+    out = tmp_path / "BENCH_9.json"
+    argv = ["--number", "9", "--title", "drift", "--parent-commit", "abc1234",
+            "--seconds", "30", "--out", str(out), "--layers", "generate.prefill_ms",
+            "--parent", *[str(tmp_path / p) for p in paths["parent"]],
+            "--change", *[str(tmp_path / c) for c in paths["change"]]]
+    assert bench_file.main(argv) == 0
+    per_layer = json.loads(out.read_text())["per_layer"]
+    # medians 150 and 200, read before --layers drops the floor itself
+    assert per_layer["host_drift"] == pytest.approx(200.0 / 150.0)
+    assert sorted(per_layer["metrics"]) == ["generate.prefill_ms"]
+
+
+def test_host_drift_without_a_floor_is_none(tmp_path):
+    code, record = run(tmp_path, ["parent.trace.txt"], ["change.trace.txt"])
+    assert code == 0 and record["per_layer"]["host_drift"] is None
+
+
 def test_failed_run_is_refused(tmp_path):
     code, record = run(tmp_path, ["parent.stu.0.txt"], ["failed.txt"])
     assert code == 1 and record is None

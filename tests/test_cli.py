@@ -58,6 +58,20 @@ class TestGen:
                                    rtol=1e-12)
         meta = json.loads((tmp_path / "gen.txt.meta.json").read_text())
         assert meta["prefill_transform_calls"] == 1
+        assert meta["filter_spectra_elems"] == 0  # summed directly
+
+    def test_prompted_sidecar_counts_filter_spectra(self, tmp_path):
+        # 7000 prompt samples at K = 512: five blocks of 1537, each
+        # against a 2048-tap segment whose spectrum is 1025 complex values
+        prompt = tmp_path / "prompt.txt"
+        rng = np.random.default_rng(8)
+        prompt.write_text("".join(f"{v!r}\n" for v in rng.uniform(-1, 1, 7000).tolist()))
+        out = tmp_path / "gen.txt"
+        rc = main(["gen", "--mode", "prompt", "--prompt", str(prompt), "--length", "512",
+                   "--engine", "continuous", "--output", str(out)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "gen.txt.meta.json").read_text())
+        assert meta["filter_spectra_elems"] == 2 * 5 * 1025
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         outs = []

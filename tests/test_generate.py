@@ -1,8 +1,13 @@
+import copy
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from streamconv import convolution as conv
 from streamconv import (
     ConfigurationError,
     Filter,
@@ -194,6 +199,175 @@ class TestPrompted:
             assert result.decode_peak_aux_elems <= 4 * k
             assert result.prefill_transform_calls == 1
         assert len(peaks) == 1  # identical for every prompt length
+
+
+class CountingFFT:
+    """``numpy.fft`` stand-in that counts the rows each forward transform covers."""
+
+    irfft = staticmethod(np.fft.irfft)
+
+    def __init__(self):
+        self.rows = 0
+
+    def rfft(self, x, n, axis=-1, out=None):
+        self.rows += int(np.prod(x.shape[:-1]))
+        return np.fft.rfft(x, n, axis=axis, out=out)
+
+
+class TestFilterSpectra:
+    # K = 512: 2048-point transforms over blocks of 2048 - 512 + 1 = 1537
+    # prompt samples, each block against its own 2048-tap segment
+    K, N, BLOCK = 512, 2048, 1537
+
+    @staticmethod
+    def blocks(p_len):
+        return -(-p_len // TestFilterSpectra.BLOCK)
+
+    def elems(self, p_len):
+        return 2 * self.blocks(p_len) * (self.N // 2 + 1)
+
+    def counted_prefill(self, monkeypatch, prompt, phi, k=K):
+        fft = CountingFFT()
+        monkeypatch.setattr(conv, "_fft", fft)
+        cache = prefill(prompt, phi, k)
+        monkeypatch.undo()
+        return cache, fft.rows
+
+    def test_second_prefill_transforms_no_tap_segment(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        p_len = 7000
+        taps = rng.uniform(-1, 1, p_len + self.K)
+        phi = Filter(taps)
+        first, rows = self.counted_prefill(monkeypatch, rng.uniform(-1, 1, p_len), phi)
+        assert rows == 2 * self.blocks(p_len)  # the prompt's blocks and the segments
+        prompt = rng.uniform(-1, 1, p_len)
+        second, rows = self.counted_prefill(monkeypatch, prompt, phi)
+        assert rows == self.blocks(p_len)  # the prompt's blocks only
+        assert first.filter_spectra_elems == second.filter_spectra_elems == self.elems(p_len)
+        fresh = prefill(prompt, Filter(taps), self.K).contributions.values
+        got = second.contributions.values
+        assert np.max(np.abs(got - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+        assert second.transform_calls == 1
+
+    def test_longer_prompt_and_new_budget_replace(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        taps = rng.uniform(-1, 1, 20000)
+        phi = Filter(taps)
+        short, long = rng.uniform(-1, 1, 4000), rng.uniform(-1, 1, 9000)
+        cache, _ = self.counted_prefill(monkeypatch, short, phi)
+        assert cache.filter_spectra_elems == self.elems(4000)
+        # too few stored segments: all of them are transformed again
+        cache, rows = self.counted_prefill(monkeypatch, long, phi)
+        assert rows == 2 * self.blocks(9000)
+        assert cache.filter_spectra_elems == self.elems(9000)
+        want = prefill(long, taps, self.K).contributions.values
+        assert np.max(np.abs(cache.contributions.values - want)) <= 1e-12 * np.max(np.abs(want))
+        # the shorter prompt again reads the segments it needs
+        cache, rows = self.counted_prefill(monkeypatch, short, phi)
+        assert rows == self.blocks(4000) and cache.filter_spectra_elems == self.elems(9000)
+        want = prefill(short, taps, self.K).contributions.values
+        assert np.max(np.abs(cache.contributions.values - want)) <= 1e-12 * np.max(np.abs(want))
+        # budget 1024: 4096-point transforms over blocks of 3073 samples
+        cache, rows = self.counted_prefill(monkeypatch, long, phi, 1024)
+        assert rows == 2 * 3 and cache.filter_spectra_elems == 2 * 3 * 2049
+        assert len(phi._spectra) == 1  # one geometry per Filter
+
+    def test_array_taps_leave_no_state(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        prompt, taps = rng.uniform(-1, 1, 7000), rng.uniform(-1, 1, 7000 + self.K)
+        kept = taps.copy()
+        results = [self.counted_prefill(monkeypatch, prompt, taps) for _ in range(2)]
+        for cache, rows in results:
+            assert rows == 2 * self.blocks(7000) and cache.filter_spectra_elems == 0
+        assert results[0][0].contributions == results[1][0].contributions
+        np.testing.assert_array_equal(taps, kept)
+        result = generate_prompted(prompt, taps, self.K)
+        assert result.filter_spectra_elems == 0 and result.prefill_transform_calls == 1
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, copy.copy,
+                                       lambda phi: pickle.loads(pickle.dumps(phi))])
+    def test_copies_and_pickles_carry_no_spectra(self, clone):
+        rng = np.random.default_rng(54)
+        taps = rng.uniform(-1, 1, 7000 + self.K)
+        phi = Filter(taps, 8000)
+        assert prefill(rng.uniform(-1, 1, 7000), phi, self.K).filter_spectra_elems > 0
+        twin = clone(phi)
+        assert twin._spectra == [] and phi._spectra
+        assert twin.context_length == 8000 and twin.taps == phi.taps
+        assert len(pickle.dumps(phi)) == len(pickle.dumps(Filter(taps, 8000)))
+
+    def test_filter_shared_across_threads(self):
+        # four threads over two cores, switching often, prefill through one
+        # Filter with two budgets and three prompt lengths: each result must
+        # match the array-taps one, whatever store the others left behind
+        rng = np.random.default_rng(56)
+        taps = rng.uniform(-1, 1, 12000)
+        phi = Filter(taps)
+        jobs = [(rng.uniform(-1, 1, n), k) for n in (4000, 7000, 10000) for k in (512, 1024)]
+        wants = [prefill(p, taps, k).contributions.values for p, k in jobs]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(3 * len(jobs)):
+                    j = (i + offset) % len(jobs)
+                    got = prefill(jobs[j][0], phi, jobs[j][1]).contributions.values
+                    if np.max(np.abs(got - wants[j])) > 1e-12 * np.max(np.abs(wants[j])):
+                        errors.append(j)
+            except Exception as exc:  # a dead worker must fail the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(phi._spectra) == 1
+
+    def test_verify_covers_the_reused_path(self, monkeypatch):
+        from streamconv.verify import SuiteResult, suite_prompted_oracle
+
+        res = SuiteResult("prompted_oracle")
+        suite_prompted_oracle(res, 3, 4096)
+        assert res.passed
+        real = conv._segment_spectra
+
+        def stale(b, store, *geometry):  # a store read returns zeros
+            scale = 0.0 if store else 1.0
+            return real(b, store, *geometry) * scale
+
+        monkeypatch.setattr(conv, "_segment_spectra", stale)
+        res = SuiteResult("prompted_oracle")
+        suite_prompted_oracle(res, 3, 4096)
+        assert not res.passed
+        # every call after the first through the K = 512 case's Filter reads the store
+        assert {(f["through"], f["K"], f["call"], f["engine"]) for f in res.failures} == {
+            ("Filter", 512, 0, "epoched"), ("Filter", 512, 0, "continuous"),
+            ("Filter", 512, 1, "naive"), ("Filter", 512, 1, "epoched"),
+            ("Filter", 512, 1, "continuous")}
+
+    def test_reused_filter_at_prompt_long_size_matches_dot_products(self):
+        # the benchmark's prompt-long shape: 2**18 prompt samples, K = 2**12
+        rng = np.random.default_rng(55)
+        p_len, k = 1 << 18, 1 << 12
+        taps = rng.uniform(-1, 1, p_len + k)
+        taps /= np.linalg.norm(taps)
+        phi = Filter(taps)
+        prefill(rng.uniform(-1, 1, p_len), phi, k)
+        prompt = rng.uniform(-1, 1, p_len)
+        cache = prefill(prompt, phi, k)
+        assert cache.filter_spectra_elems == 2 * 22 * (16384 // 2 + 1)
+        got = cache.contributions.values
+        for q in rng.choice(k, 16, replace=False):
+            # slot q reads taps q .. q + p_len - 1 against the reversed prompt
+            want = float(np.dot(prompt[::-1], taps[q:q + p_len]))
+            assert abs(got[q] - want) <= 1e-12 * abs(want), q
 
 
 class TestTokenMaps:

@@ -23,6 +23,16 @@ from ``BENCHMARK.json``. A run with a failed operation, or
 runs of different environments (python, numpy, scipy, nproc, cpu), are
 refused.
 
+``--trace 1`` timings are not calibrated to the host's speed the way
+``--trace 0`` ones are, so their medians follow the host's fast or slow
+state as much as the code: in ``BENCH_11.json`` the pure-Python
+``generate.floor_ns_per_tok``, which runs no library code, read 146-152
+ns/token in two parent runs against 197-246 in the paired runs of a
+change that did not touch it. The per-layer section therefore gives
+``host_drift``, the change/parent ratio of that metric's medians (None
+when the runs lack it): a layer that moved by about that ratio moved
+with the host, not with the code.
+
 With end-to-end runs the record gets a ``verdict`` block that applies
 the acceptance rule, reading each metric's ``bound`` from the same
 file. The claimed metric (``--claim
@@ -50,6 +60,7 @@ import numpy as np
 ENVIRONMENT_KEYS = ("python", "numpy", "scipy", "nproc", "cpu", "caches")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 CLAIM_PAIR_SHARE = 0.9  # of the pairs a claimed gain must win
+FLOOR = "generate.floor_ns_per_tok"  # the bare token loop: host speed, not code
 
 
 def read_run(path: Path) -> dict:
@@ -173,7 +184,10 @@ def build(title: str, parent_commit: str, parent: list, change: list,
             raise ValueError(f"--trace {trace} runs on one side only")
         if trace:
             workload = p[0]["report"]["workload"]
-            metrics = keep_layers(compare(p, c), layers)
+            metrics = compare(p, c)
+            floor = metrics.get(FLOOR)
+            drift = floor["change"] / floor["parent"] if floor and floor["parent"] else None
+            metrics = keep_layers(metrics, layers)
             runs = {"parent": len(p), "change": len(c)}
             run_seeds = seeds(p + c)
         else:
@@ -192,7 +206,9 @@ def build(title: str, parent_commit: str, parent: list, change: list,
                    f"--seconds {seconds} --trace {trace}")
         record[section] = {"command": command, "runs_per_side": runs,
                            "seeds": run_seeds, "metrics": metrics}
-        if not trace:
+        if trace:
+            record[section]["host_drift"] = drift
+        else:
             record["verdict"] = verdict(metrics, bounds, claim)
     if claim is not None and "verdict" not in record:
         raise ValueError(f"--claim {claim} needs end-to-end runs")

@@ -145,9 +145,10 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int,
     ``spectra`` is a store (a list, empty at first) of ``b``'s
     tap-segment spectra for that batch, owned by the caller and valid
     for this ``b`` only (a :class:`~streamconv.signal.Filter` keeps one
-    for its taps): they are read from it when it holds them, and
-    otherwise computed and stored in it (see :func:`_segment_spectra`).
-    Without one every transform is computed afresh.
+    for its taps, which prefill and the epoched engine's rebuilds
+    pass): they are read from it when it holds them, and otherwise
+    computed and stored in it (see :func:`_segment_spectra`). Without
+    one every transform is computed afresh.
     """
     global _fast_conv_calls
     _fast_conv_calls += 1

@@ -132,10 +132,11 @@ def optimal_epoch_length(horizon: int) -> int:
     return int(math.sqrt(horizon * math.log2(horizon)) + 0.5)
 
 
-def _taps_of(phi: Filter | ArrayLike) -> np.ndarray:
-    """Read-only float64 taps: one row on the last axis, or rows of them."""
+def _taps_of(phi: Filter | ArrayLike) -> tuple[np.ndarray, list | None]:
+    """Read-only float64 taps (one row on the last axis, or rows of them),
+    and a Filter's spectra store (None for array taps)."""
     if isinstance(phi, Filter):
-        return phi.taps_array()
+        return phi.taps_array(), phi._spectra
     taps = np.array(phi.values if isinstance(phi, Signal) else phi, dtype=np.float64)
     if taps.ndim == 0:
         taps = taps.reshape(1)
@@ -144,7 +145,7 @@ def _taps_of(phi: Filter | ArrayLike) -> np.ndarray:
     if not np.isfinite(taps).all():
         raise ValueError("filter taps must be finite (no NaN/Inf)")
     taps.setflags(write=False)
-    return taps
+    return taps, None
 
 
 def _layout(lead: tuple, sample: tuple) -> tuple:
@@ -199,7 +200,7 @@ class OnlineConvEngine:
 
     __slots__ = ("taps", "horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
                  "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_tfirst", "_zeros",
-                 "push", "_past", "_mtaps", "_in")
+                 "push", "_past", "_mtaps", "_in", "_spectra")
 
     kind = "abstract"
     # attributes that alias the buffers or the instance; a pickled or
@@ -210,7 +211,7 @@ class OnlineConvEngine:
         horizon = int(horizon)
         if horizon < 1:
             raise ConfigurationError("horizon must be a positive integer")
-        taps = _taps_of(phi)
+        taps, spectra = _taps_of(phi)
         self.taps = taps
         self.horizon = horizon
         self._ntaps = taps.shape[-1]
@@ -225,6 +226,7 @@ class OnlineConvEngine:
             self.size = 1
             self._zeros = None
             self._taps = taps
+            self._spectra = spectra
             self._buf = np.zeros(horizon)
             return
         shape, perm, rows = _layout(lead, sample_shape)
@@ -246,6 +248,7 @@ class OnlineConvEngine:
         full = taps.reshape(lt + (self._ntaps,)).transpose(perm + (len(shape),))
         self._taps = full.reshape(rows[:2] + (self._ntaps,)).copy()
         self._buf = np.zeros((rows[0], rows[2], horizon))
+        self._spectra = None  # a Filter's store holds the spectra of one row
 
     @property
     def steps(self) -> int:
@@ -316,7 +319,9 @@ class OnlineConvEngine:
 
     def __getstate__(self) -> dict:
         names = (n for cls in type(self).__mro__ for n in getattr(cls, "__slots__", ()))
-        return {n: getattr(self, n) for n in names if n not in self._aliases}
+        state = {n: getattr(self, n) for n in names if n not in self._aliases}
+        state["_spectra"] = None  # a copy shares no Filter's store
+        return state
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
@@ -480,6 +485,14 @@ class EpochedEngine(_BlockedEngine):
     axes), and before that in one transform of about t + K points.
     Only the slots a later push can read are filled: none at all for
     the rebuild at the horizon, which is still counted and charged.
+
+    An engine over one :class:`~streamconv.signal.Filter` and scalar
+    samples hands the Filter's spectra store to every rebuild of K
+    slots, so the tap segments of that batch are transformed only when
+    their count grows, and not at all by a later engine with the same
+    K through the same Filter. The store is the Filter's, not the
+    stream's: ``peak_aux_elems`` leaves it out, and copies and pickles
+    of the engine do not share it.
     """
 
     __slots__ = ("epoch_len",)
@@ -512,7 +525,10 @@ class EpochedEngine(_BlockedEngine):
         cache = self._cache
         n = max(0, min(self.epoch_len, self.horizon - t))  # the slots a later push reads
         if n > 0:
-            cache[:n] = middle(self._past[..., :t], self._mtaps, t, n).transpose(self._tfirst)
+            # a short last rebuild has a geometry of its own: it leaves the store alone
+            spectra = self._spectra if n == self.epoch_len else None
+            cache[:n] = middle(self._past[..., :t], self._mtaps, t, n,
+                               spectra).transpose(self._tfirst)
         cache[n:] = 0.0
         return cache
 

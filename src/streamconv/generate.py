@@ -67,7 +67,7 @@ class PrefillCache:
 
     contributions: Signal
     transform_calls: int
-    filter_spectra_elems: int = 0  # floats the Filter holds for prefill
+    filter_spectra_elems: int = 0  # floats the Filter's spectra store holds after it
 
     def __len__(self) -> int:
         return len(self.contributions)
@@ -81,7 +81,7 @@ class GenerationResult:
     meter: CostMeter
     prefill_transform_calls: int = 0
     decode_peak_aux_elems: int = 0
-    filter_spectra_elems: int = 0  # floats the Filter holds for prefill
+    filter_spectra_elems: int = 0  # floats the Filter's spectra store holds after the call
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -100,7 +100,10 @@ def generate_scratch(
 
     u_1 is the seed; thereafter u_{t+1} = token_map(y_t) where
     y_t = [u*phi]_t is the engine's step output. ``length`` must not
-    exceed the filter's declared context length.
+    exceed the filter's declared context length. An epoched engine
+    built here reads and fills the Filter's tap-spectra store (see
+    :class:`~streamconv.engines.EpochedEngine`); ``filter_spectra_elems``
+    is the store's size after the call.
     """
     phi = as_filter(phi)
     length = int(length)
@@ -128,6 +131,7 @@ def generate_scratch(
         meter=meter,
         prefill_transform_calls=0,
         decode_peak_aux_elems=meter.peak_aux_elems,
+        filter_spectra_elems=conv.spectra_floats(phi._spectra),
     )
 
 
@@ -157,11 +161,12 @@ def prefill(
     transform of about L + K points.
 
     A :class:`Filter` keeps the spectra of those tap segments for the
-    last budget it served (``filter_spectra_elems`` floats, about
+    last geometry it served (``filter_spectra_elems`` floats, about
     1.33 per tap), so a later prefill with that budget and a prompt no
     longer than the one they were computed for transforms only the
-    prompt's blocks; otherwise they are computed again and replace the
-    stored ones. Plain array taps are transformed on every call. A ``gen_budget`` of
+    prompt's blocks; otherwise, and after an epoched engine's rebuilds
+    have stored theirs, they are computed again and replace the stored
+    ones. Plain array taps are transformed on every call. A ``gen_budget`` of
     zero yields a valid empty cache.
     """
     return _prefill(finite_samples(prompt), *_read_taps(phi), int(gen_budget))
@@ -202,8 +207,8 @@ def generate_prompted(
         return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0,
                                 cache.filter_spectra_elems)
     tmap = token_map or identity_token
-    decode_filter = Filter(taps[:min(k, taps.size)], k)
-    engine = make_engine(engine_kind, decode_filter, k, epoch_len)
+    # array taps: the engine holds no spectra, so decode memory is its cache alone
+    engine = make_engine(engine_kind, taps[:min(k, taps.size)], k, epoch_len)
 
     # Python floats, not numpy scalars, on the per-token path
     outs: list = []

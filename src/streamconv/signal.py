@@ -99,10 +99,11 @@ class Filter:
     zero-padded to any length an operation requires).
 
     A Filter also keeps the spectra of its tap segments for the last
-    prefill geometry it served (see ``convolution.middle``), so that
-    later prefills do not transform the taps again. They are derived
-    from the taps alone and are not part of the value: copies and
-    pickles leave them out.
+    geometry it served (see ``convolution.middle``): a prefill's, or an
+    epoched engine's cache rebuilds', so that later prefills or engines
+    through it do not transform the taps again. They are derived from
+    the taps alone and are not part of the value: copies and pickles
+    leave them out.
     """
 
     __slots__ = ("_taps", "_context_length", "_spectra")

@@ -120,10 +120,15 @@ def _oracle_outputs(u: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
-    """All engines vs the direct-summation oracle."""
+    """All engines vs the direct-summation oracle.
+
+    At the largest length the epoched engine also runs twice through
+    one :class:`Filter` at K = L / 8, whose rebuilds from t = 4K on (at
+    L = 4096) read the tap spectra that earlier rebuilds stored.
+    """
     rng = _rng(seed, 3)
 
-    def check(u, taps, engines, tag):
+    def check(u, taps, engines, tag, **instance):
         ref = _oracle_outputs(u, taps)
         tol = 1e-8 * (1.0 + (float(np.max(np.abs(ref))) if ref.size else 0.0))
         for eng in engines:
@@ -132,7 +137,7 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
             res.check(err)
             if err > tol:
                 res.fail(tag=tag, engine=eng.kind, L=u.size, error=err,
-                         u=_serialize(u), taps=_serialize(taps))
+                         u=_serialize(u), taps=_serialize(taps), **instance)
 
     for length in range(1, 49):
         u = rng.uniform(-1, 1, length)
@@ -152,6 +157,10 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
                 EpochedEngine(taps, length, optimal_epoch_length(length)),
             ]
             check(u, taps, engines, "random")
+    # the last instance, at the largest length, through one Filter
+    phi = Filter(taps, length)
+    for call in range(2):
+        check(u, taps, [EpochedEngine(phi, length, max(1, length // 8))], "Filter", call=call)
 
 
 def suite_cache_lemma(res: SuiteResult, seed: int, max_l: int) -> None:

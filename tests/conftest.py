@@ -1,0 +1,33 @@
+"""Helpers shared by the test modules."""
+
+import numpy as np
+import pytest
+
+from streamconv import convolution as conv
+
+
+class CountingFFT:
+    """``numpy.fft`` stand-in that counts the rows each forward transform covers."""
+
+    irfft = staticmethod(np.fft.irfft)
+
+    def __init__(self):
+        self.rows = 0
+
+    def rfft(self, x, n, axis=-1, out=None):
+        self.rows += int(np.prod(x.shape[:-1]))
+        return np.fft.rfft(x, n, axis=axis, out=out)
+
+
+@pytest.fixture
+def forward_rows(monkeypatch):
+    """``forward_rows(call, *args)``: the call's result, and the rows its
+    forward transforms in :mod:`streamconv.convolution` covered."""
+    def run(call, *args):
+        fft = CountingFFT()
+        with monkeypatch.context() as patch:
+            patch.setattr(conv, "_fft", fft)
+            out = call(*args)
+        return out, fft.rows
+
+    return run

@@ -73,6 +73,21 @@ class TestGen:
         meta = json.loads((tmp_path / "gen.txt.meta.json").read_text())
         assert meta["filter_spectra_elems"] == 2 * 5 * 1025
 
+    @pytest.mark.parametrize("engine, elems", [
+        # K = 512 over 4096 steps: the rebuilds from t = 2048 take blocks of
+        # 1537 inputs, the last full one (t = 3584) against three 2048-tap
+        # segments whose spectra are 1025 complex values each
+        ("epoched", 2 * 3 * 1025),
+        ("continuous", 0),  # no rebuild reads the store
+    ])
+    def test_scratch_sidecar_counts_filter_spectra(self, tmp_path, engine, elems):
+        out = tmp_path / "gen.txt"
+        rc = main(["gen", "--mode", "scratch", "--length", "4096", "--engine", engine,
+                   "--epoch-len", "512", "--output", str(out)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "gen.txt.meta.json").read_text())
+        assert meta["filter_spectra_elems"] == elems
+
     def test_same_seed_bitwise_identical(self, tmp_path):
         outs = []
         for name in ("a.txt", "b.txt"):

@@ -181,9 +181,9 @@ def record_paths(monkeypatch, *modules):
             return inner(*args)
         monkeypatch.setattr(conv, name, spy)
 
-    def recorded(a, b, start, count):
+    def recorded(a, b, start, count, spectra=None):
         seen.clear()
-        out = conv.middle(a, b, start, count)
+        out = conv.middle(a, b, start, count, spectra)
         paths.append((seen[0] if seen else "transform", a.shape[-1]))
         return out
 

@@ -2,6 +2,7 @@ import copy
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,147 @@ class TestEpoched:
         taps = rng.uniform(-1, 1, 11)
         eng = EpochedEngine(Filter(taps, 120), 120, epoch_len=13)
         assert_matches_oracle(eng, u, taps)
+
+
+class TestEpochedFilterSpectra:
+    # L = 2**14, K = 512: the rebuilds at t = 1024 and 1536 take one
+    # transform of each input, and from t = 2048, where the past holds a
+    # block of 2048 - 512 + 1 = 1537 inputs, a batch of 2048-point ones,
+    # block j against tap segment j
+    L, K, BLOCK = 1 << 14, 512, 1537
+    BLOCKED = range(2048, 1 << 14, 512)
+
+    @classmethod
+    def segments(cls, t):
+        return -(-t // cls.BLOCK)
+
+    def run(self, phi, u):
+        return EpochedEngine(phi, self.L, self.K).push_many(u)
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, self.L), rng.uniform(-1, 1, self.L)
+
+    def test_second_engine_transforms_no_tap_segment(self, forward_rows):
+        u, taps = self.inputs(61)
+        phi = Filter(taps)
+        want, rows_array = forward_rows(self.run, taps, u)
+        first, rows_first = forward_rows(self.run, phi, u)
+        second, rows_second = forward_rows(self.run, phi, u)
+        past = 2 * 2 + sum(self.segments(t) for t in self.BLOCKED)
+        assert rows_array == past + sum(self.segments(t) for t in self.BLOCKED)
+        # the first engine through the Filter transforms every segment
+        # again where their count grows, and reads them elsewhere
+        grown = [t for t in self.BLOCKED if self.segments(t) > self.segments(t - self.K)]
+        assert rows_first == past + sum(self.segments(t) for t in grown)
+        assert rows_second == past  # the past's blocks only
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(second, want)
+        assert phi._spectra[0][1].shape == (self.segments(self.BLOCKED[-1]), 1025)
+
+    def test_short_last_rebuild_leaves_the_store_alone(self, forward_rows):
+        # 100 steps short of 2**14, the last rebuild (t = 15872) fills 412
+        # slots with 2048-point transforms over blocks of 1637 inputs: it
+        # transforms its own segments and keeps them out of the store
+        u, taps = self.inputs(65)
+        phi = Filter(taps)
+        length, last = self.L - 100, self.BLOCKED[-1]
+
+        def run():
+            return EpochedEngine(phi, length, self.K).push_many(u[:length])
+
+        run()
+        second, rows = forward_rows(run)
+        assert phi._spectra[0][0] == (1, self.BLOCK, 2048)
+        full = [t for t in self.BLOCKED if t != last]
+        assert rows == 2 * 2 + sum(self.segments(t) for t in full) + 2 * -(-last // 1637)
+        want = EpochedEngine(taps, length, self.K).push_many(u[:length])
+        np.testing.assert_array_equal(second, want)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda eng: pickle.loads(pickle.dumps(eng))])
+    def test_copies_and_pickles_carry_no_spectra(self, clone):
+        u, taps = self.inputs(62)
+        phi = Filter(taps)
+        self.run(phi, u)
+        eng, plain = EpochedEngine(phi, self.L, self.K), EpochedEngine(taps, self.L, self.K)
+        cut = 5000  # mid-epoch, after blocked rebuilds that read the store
+        np.testing.assert_array_equal(eng.push_many(u[:cut]), plain.push_many(u[:cut]))
+        assert len(pickle.dumps(eng)) == len(pickle.dumps(plain))
+        fork = clone(eng)
+        assert fork._spectra is None and eng._spectra is phi._spectra
+        tail = plain.push_many(u[cut:])
+        np.testing.assert_array_equal(fork.push_many(u[cut:]), tail)
+        np.testing.assert_array_equal(eng.push_many(u[cut:]), tail)
+        assert fork.meter == eng.meter == plain.meter
+
+    def test_batched_engine_leaves_the_store_alone(self):
+        # a Filter's store holds one row's spectra; an engine over
+        # channels has rows of its own and transforms the taps afresh
+        u, taps = self.inputs(64)
+        phi = Filter(taps)
+        channels = np.stack([u, -u], axis=1)
+        got = EpochedEngine(phi, self.L, self.K, sample_shape=(2,)).push_many(channels)
+        assert phi._spectra == []
+        want = EpochedEngine(taps[None], self.L, self.K, sample_shape=(2,)).push_many(channels)
+        np.testing.assert_array_equal(got, want)
+
+    def test_verify_covers_the_reused_path(self, monkeypatch):
+        from streamconv import convolution as conv
+        from streamconv.verify import SuiteResult, suite_oracle_equivalence
+
+        res = SuiteResult("oracle_equivalence")
+        suite_oracle_equivalence(res, 3, 4096)
+        assert res.passed
+        real = conv._segment_spectra
+
+        def stale(b, store, *geometry):  # a store read returns zeros
+            scale = 0.0 if store else 1.0
+            return real(b, store, *geometry) * scale
+
+        monkeypatch.setattr(conv, "_segment_spectra", stale)
+        res = SuiteResult("oracle_equivalence")
+        suite_oracle_equivalence(res, 3, 4096)
+        assert not res.passed
+        # both runs through the Filter have rebuilds that read the store
+        assert {(f["tag"], f["engine"], f["L"], f["call"]) for f in res.failures} == {
+            ("Filter", "epoched", 4096, 0), ("Filter", "epoched", 4096, 1)}
+
+    def test_filter_shared_across_threads(self):
+        # four threads over two cores, switching often, each pushing its
+        # own engines through one Filter at two epoch lengths, so the
+        # store changes geometry under them: every output must equal the
+        # array-taps engine's
+        rng = np.random.default_rng(63)
+        length = 1 << 13
+        taps = rng.uniform(-1, 1, length)
+        phi = Filter(taps)
+        jobs = [(rng.uniform(-1, 1, length), k) for k in (512, 1024) for _ in range(2)]
+        wants = [EpochedEngine(taps, length, k).push_many(u) for u, k in jobs]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(len(jobs)):
+                    j = (i + offset) % len(jobs)
+                    u, k = jobs[j]
+                    if not np.array_equal(EpochedEngine(phi, length, k).push_many(u), wants[j]):
+                        errors.append(j)
+            except Exception as exc:  # a dead worker must fail the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(phi._spectra) == 1
 
 
 class TestContinuous:

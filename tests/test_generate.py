@@ -187,6 +187,27 @@ class TestPrompted:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    def test_decode_engine_keeps_no_tap_spectra(self, monkeypatch):
+        # the decode engine lives for one call, so spectra stored for its
+        # rebuilds (blocked from t = 4096 at K = 1024) would be decode
+        # memory that decode_peak_aux_elems does not count
+        from streamconv import generate as generate_module
+
+        engines = []
+
+        def spy(*args):
+            engines.append(make_engine(*args))
+            return engines[-1]
+
+        monkeypatch.setattr(generate_module, "make_engine", spy)
+        rng = np.random.default_rng(57)
+        k = 8192
+        phi = Filter(rng.uniform(-1, 1, 100 + k))
+        result = generate_prompted(rng.uniform(-1, 1, 100), phi, k, "epoched",
+                                   clamp_token(), 1024)
+        assert engines[0]._spectra is None and result.filter_spectra_elems == 0
+        assert result.decode_peak_aux_elems == k + 1024
+
     def test_decode_memory_independent_of_prompt(self):
         k = 32
         peaks = set()
@@ -201,19 +222,6 @@ class TestPrompted:
         assert len(peaks) == 1  # identical for every prompt length
 
 
-class CountingFFT:
-    """``numpy.fft`` stand-in that counts the rows each forward transform covers."""
-
-    irfft = staticmethod(np.fft.irfft)
-
-    def __init__(self):
-        self.rows = 0
-
-    def rfft(self, x, n, axis=-1, out=None):
-        self.rows += int(np.prod(x.shape[:-1]))
-        return np.fft.rfft(x, n, axis=axis, out=out)
-
-
 class TestFilterSpectra:
     # K = 512: 2048-point transforms over blocks of 2048 - 512 + 1 = 1537
     # prompt samples, each block against its own 2048-tap segment
@@ -226,22 +234,18 @@ class TestFilterSpectra:
     def elems(self, p_len):
         return 2 * self.blocks(p_len) * (self.N // 2 + 1)
 
-    def counted_prefill(self, monkeypatch, prompt, phi, k=K):
-        fft = CountingFFT()
-        monkeypatch.setattr(conv, "_fft", fft)
-        cache = prefill(prompt, phi, k)
-        monkeypatch.undo()
-        return cache, fft.rows
+    def counted_prefill(self, forward_rows, prompt, phi, k=K):
+        return forward_rows(prefill, prompt, phi, k)
 
-    def test_second_prefill_transforms_no_tap_segment(self, monkeypatch):
+    def test_second_prefill_transforms_no_tap_segment(self, forward_rows):
         rng = np.random.default_rng(51)
         p_len = 7000
         taps = rng.uniform(-1, 1, p_len + self.K)
         phi = Filter(taps)
-        first, rows = self.counted_prefill(monkeypatch, rng.uniform(-1, 1, p_len), phi)
+        first, rows = self.counted_prefill(forward_rows, rng.uniform(-1, 1, p_len), phi)
         assert rows == 2 * self.blocks(p_len)  # the prompt's blocks and the segments
         prompt = rng.uniform(-1, 1, p_len)
-        second, rows = self.counted_prefill(monkeypatch, prompt, phi)
+        second, rows = self.counted_prefill(forward_rows, prompt, phi)
         assert rows == self.blocks(p_len)  # the prompt's blocks only
         assert first.filter_spectra_elems == second.filter_spectra_elems == self.elems(p_len)
         fresh = prefill(prompt, Filter(taps), self.K).contributions.values
@@ -249,34 +253,34 @@ class TestFilterSpectra:
         assert np.max(np.abs(got - fresh)) <= 1e-12 * np.max(np.abs(fresh))
         assert second.transform_calls == 1
 
-    def test_longer_prompt_and_new_budget_replace(self, monkeypatch):
+    def test_longer_prompt_and_new_budget_replace(self, forward_rows):
         rng = np.random.default_rng(52)
         taps = rng.uniform(-1, 1, 20000)
         phi = Filter(taps)
         short, long = rng.uniform(-1, 1, 4000), rng.uniform(-1, 1, 9000)
-        cache, _ = self.counted_prefill(monkeypatch, short, phi)
+        cache, _ = self.counted_prefill(forward_rows, short, phi)
         assert cache.filter_spectra_elems == self.elems(4000)
         # too few stored segments: all of them are transformed again
-        cache, rows = self.counted_prefill(monkeypatch, long, phi)
+        cache, rows = self.counted_prefill(forward_rows, long, phi)
         assert rows == 2 * self.blocks(9000)
         assert cache.filter_spectra_elems == self.elems(9000)
         want = prefill(long, taps, self.K).contributions.values
         assert np.max(np.abs(cache.contributions.values - want)) <= 1e-12 * np.max(np.abs(want))
         # the shorter prompt again reads the segments it needs
-        cache, rows = self.counted_prefill(monkeypatch, short, phi)
+        cache, rows = self.counted_prefill(forward_rows, short, phi)
         assert rows == self.blocks(4000) and cache.filter_spectra_elems == self.elems(9000)
         want = prefill(short, taps, self.K).contributions.values
         assert np.max(np.abs(cache.contributions.values - want)) <= 1e-12 * np.max(np.abs(want))
         # budget 1024: 4096-point transforms over blocks of 3073 samples
-        cache, rows = self.counted_prefill(monkeypatch, long, phi, 1024)
+        cache, rows = self.counted_prefill(forward_rows, long, phi, 1024)
         assert rows == 2 * 3 and cache.filter_spectra_elems == 2 * 3 * 2049
         assert len(phi._spectra) == 1  # one geometry per Filter
 
-    def test_array_taps_leave_no_state(self, monkeypatch):
+    def test_array_taps_leave_no_state(self, forward_rows):
         rng = np.random.default_rng(53)
         prompt, taps = rng.uniform(-1, 1, 7000), rng.uniform(-1, 1, 7000 + self.K)
         kept = taps.copy()
-        results = [self.counted_prefill(monkeypatch, prompt, taps) for _ in range(2)]
+        results = [self.counted_prefill(forward_rows, prompt, taps) for _ in range(2)]
         for cache, rows in results:
             assert rows == 2 * self.blocks(7000) and cache.filter_spectra_elems == 0
         assert results[0][0].contributions == results[1][0].contributions

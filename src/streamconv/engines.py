@@ -487,12 +487,13 @@ class EpochedEngine(_BlockedEngine):
     the rebuild at the horizon, which is still counted and charged.
 
     An engine over one :class:`~streamconv.signal.Filter` and scalar
-    samples hands the Filter's spectra store to every rebuild of K
-    slots, so the tap segments of that batch are transformed only when
-    their count grows, and not at all by a later engine with the same
-    K through the same Filter. The store is the Filter's, not the
-    stream's: ``peak_aux_elems`` leaves it out, and copies and pickles
-    of the engine do not share it.
+    samples hands the Filter's spectra store to every rebuild, so the
+    tap segments of that batch are transformed only when their count
+    grows, and not at all by a later engine with the same K through the
+    same Filter (unless a short last rebuild, at a horizon K does not
+    divide, replaced the store with its own geometry). The store is the
+    Filter's, not the stream's: ``peak_aux_elems`` leaves it out, and
+    copies and pickles of the engine do not share it.
     """
 
     __slots__ = ("epoch_len",)
@@ -525,10 +526,8 @@ class EpochedEngine(_BlockedEngine):
         cache = self._cache
         n = max(0, min(self.epoch_len, self.horizon - t))  # the slots a later push reads
         if n > 0:
-            # a short last rebuild has a geometry of its own: it leaves the store alone
-            spectra = self._spectra if n == self.epoch_len else None
             cache[:n] = middle(self._past[..., :t], self._mtaps, t, n,
-                               spectra).transpose(self._tfirst)
+                               self._spectra).transpose(self._tfirst)
         cache[n:] = 0.0
         return cache
 

@@ -186,25 +186,6 @@ class TestEpochedFilterSpectra:
         np.testing.assert_array_equal(second, want)
         assert phi._spectra[0][1].shape == (self.segments(self.BLOCKED[-1]), 1025)
 
-    def test_short_last_rebuild_leaves_the_store_alone(self, forward_rows):
-        # 100 steps short of 2**14, the last rebuild (t = 15872) fills 412
-        # slots with 2048-point transforms over blocks of 1637 inputs: it
-        # transforms its own segments and keeps them out of the store
-        u, taps = self.inputs(65)
-        phi = Filter(taps)
-        length, last = self.L - 100, self.BLOCKED[-1]
-
-        def run():
-            return EpochedEngine(phi, length, self.K).push_many(u[:length])
-
-        run()
-        second, rows = forward_rows(run)
-        assert phi._spectra[0][0] == (1, self.BLOCK, 2048)
-        full = [t for t in self.BLOCKED if t != last]
-        assert rows == 2 * 2 + sum(self.segments(t) for t in full) + 2 * -(-last // 1637)
-        want = EpochedEngine(taps, length, self.K).push_many(u[:length])
-        np.testing.assert_array_equal(second, want)
-
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda eng: pickle.loads(pickle.dumps(eng))])
     def test_copies_and_pickles_carry_no_spectra(self, clone):

@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .engines import ENGINE_KINDS, optimal_epoch_length
+from .engines import ENGINE_KINDS, default_epoch_length
 from .errors import ConfigurationError
 from .generate import clamp_token, generate_prompted, generate_scratch
 from .rng import SplitMix64, stream_seed
@@ -86,7 +87,7 @@ def make_taps(filter_source: str, stream: SplitMix64, length: int) -> np.ndarray
     raise ConfigurationError(f"unknown filter source {filter_source!r}")
 
 
-def _one_channel(
+def _channel_call(
     engine_kind: str,
     mode: str,
     gen_len: int,
@@ -94,24 +95,20 @@ def _one_channel(
     epoch_len: int | None,
     filter_source: str,
     channel_seed: int,
-) -> dict:
+):
+    """One channel's generation call, with its inputs drawn and its
+    Filter built."""
     stream = SplitMix64(channel_seed)
     token_map = clamp_token()
     if mode == "scratch":
         taps = make_taps(filter_source, stream, gen_len)
         seed_token = stream.uniform() * 2.0 - 1.0
-        result = generate_scratch(
-            Filter(taps, gen_len), gen_len, engine_kind, seed_token,
-            token_map, epoch_len,
-        )
-    else:
-        taps = make_taps(filter_source, stream, prompt_len + gen_len)
-        prompt = stream.uniforms(prompt_len) * 2.0 - 1.0
-        result = generate_prompted(
-            prompt, Filter(taps, prompt_len + gen_len), gen_len, engine_kind,
-            token_map, epoch_len,
-        )
-    return result.meter.as_dict()
+        return partial(generate_scratch, Filter(taps, gen_len), gen_len, engine_kind,
+                       seed_token, token_map, epoch_len)
+    taps = make_taps(filter_source, stream, prompt_len + gen_len)
+    prompt = stream.uniforms(prompt_len) * 2.0 - 1.0
+    return partial(generate_prompted, prompt, Filter(taps, prompt_len + gen_len), gen_len,
+                   engine_kind, token_map, epoch_len)
 
 
 def _one_run(
@@ -126,18 +123,18 @@ def _one_run(
 ) -> tuple[int, dict]:
     """Run one trial across all channels; returns (wall_ns, summed counters).
 
-    Counters are summed over channels; each channel draws from its own
-    derived stream, so the totals are order-independent.
+    Every channel's inputs and Filter are made before the clock starts,
+    so ``wall_ns`` times the generation calls alone. Counters are summed
+    over channels; each channel draws from its own derived stream, so
+    the totals are order-independent.
     """
-    seeds = [stream_seed(stream_base, channel) for channel in range(channels)]
     args = (engine_kind, mode, gen_len, prompt_len, epoch_len, filter_source)
+    calls = [_channel_call(*args, stream_seed(stream_base, c)) for c in range(channels)]
     start = time.perf_counter_ns()
-    per_channel = [_one_channel(*args, s) for s in seeds]
+    meters = [call().meter for call in calls]
     wall = time.perf_counter_ns() - start
-    totals = {"mac_count": 0, "ff_cost": 0, "cache_rebuilds": 0, "peak_aux_elems": 0}
-    for counters in per_channel:
-        for key in totals:
-            totals[key] += counters[key]
+    totals = {key: sum(getattr(m, key) for m in meters)
+              for key in ("mac_count", "ff_cost", "cache_rebuilds", "peak_aux_elems")}
     return max(wall, 1), totals
 
 
@@ -176,19 +173,11 @@ def run_bench(
     records = []
     for kind_idx, kind in enumerate(engine_kinds):
         for length in lengths:
-            if kind == "epoched":
-                k_epoch = epoch_len if epoch_len else (
-                    optimal_epoch_length(length) if length >= 2 else 1
-                )
-            else:
-                k_epoch = 0
+            k_epoch = (epoch_len or default_epoch_length(length)) if kind == "epoched" else 0
             for trial in range(1 - warmup, trials + 1):
                 base = stream_seed(seed, kind_idx, length, max(trial, 0))
-                wall, totals = _one_run(
-                    kind, mode, length, prompt_len,
-                    k_epoch if kind == "epoched" else None,
-                    channels, base, filter_source,
-                )
+                wall, totals = _one_run(kind, mode, length, prompt_len, epoch_len or None,
+                                        channels, base, filter_source)
                 if trial < 1:
                     continue  # warmup, not recorded
                 records.append(

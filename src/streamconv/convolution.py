@@ -140,15 +140,25 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int,
     multiplied in one circular transform of ``n >= max(len(a) + len(b)
     - 1 - start, start + count)`` points, the least length at which no
     wrapped term lands in the window -- or, once ``a`` holds one full
-    block, in a batch of short ones over blocks of ``a``.
+    block and the window starts at or after its last input, in the
+    blocked path: a batch of short transforms of ``n =
+    next_pow2(4 * count)`` points (``next_pow2(2 * count)`` with
+    leading axes), ``a`` cut from its end into blocks of ``n - count +
+    1`` inputs, block ``j`` (newest first) against tap segment ``j``,
+    the ``n`` taps of ``b`` from ``start - len(a) + 1 + j * block``.
 
-    ``spectra`` is a store (a list, empty at first) of ``b``'s
-    tap-segment spectra for that batch, owned by the caller and valid
-    for this ``b`` only (a :class:`~streamconv.signal.Filter` keeps one
-    for its taps, which prefill and the epoched engine's rebuilds
-    pass): they are read from it when it holds them, and otherwise
-    computed and stored in it (see :func:`_segment_spectra`). Without
-    one every transform is computed afresh.
+    ``spectra`` is a store of those tap segments' spectra, a list owned
+    by the caller and valid for this ``b`` only: a
+    :class:`~streamconv.signal.Filter` keeps one for its taps, which
+    prefill and the epoched engine's rebuilds pass. It holds one
+    geometry (first tap, block, ``n``) and its segments: a blocked call
+    with that geometry and no more segments reads them, and any other
+    blocked call transforms all of its segments and replaces the store.
+    That is ``(n + 2) / (n - count + 1)`` floats per tap the inputs
+    reach (1.33 for a one-row window at a power-of-two ``count``). A
+    stored array is never written and the store is replaced in one
+    step, so a store may be shared between threads. Without one every
+    transform is computed afresh.
     """
     global _fast_conv_calls
     _fast_conv_calls += 1
@@ -203,20 +213,16 @@ def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
 
 def _blocked_transform(a: np.ndarray, b: np.ndarray, spectra: list | None, start: int,
                        count: int, n: int) -> np.ndarray:
-    """:func:`middle`'s transform path for an ``a`` of at least one block.
+    """:func:`middle`'s blocked path, for an ``a`` of at least one block.
 
-    Needs ``start >= len(a) - 1``: the window begins at or after the
-    last input. ``a`` is cut, from its end, into blocks of
-    ``block = n - count + 1`` inputs; block ``j`` (``j = 0`` newest)
-    meets the window through tap segment ``j``, the ``n`` taps from
-    ``start - len(a) + 1 + j*block``, so its share is the valid part of
-    an ``n``-point circular product. The blocks are views, transformed
-    in one batch per row; the segments' spectra come from
-    :func:`_segment_spectra`, through the store ``spectra`` if there is
-    one. The products are summed before the single inverse transform.
-    ``b`` may run past the window's end: a tap at or past
-    ``start + count`` meets only the zero padding of the oldest,
-    partial block, or lands outside the window.
+    Needs ``start >= len(a) - 1``. Each block's share of the window is
+    the valid part of an ``n``-point circular product with its tap
+    segment; the blocks are views, transformed in one batch per row,
+    the segments' spectra come from :func:`_segment_spectra`, and the
+    products are summed before the single inverse transform. ``b`` may
+    run past the window's end: a tap at or past ``start + count`` meets
+    only the zero padding of the oldest, partial block, or lands
+    outside the window.
     """
     block = n - count + 1
     la = a.shape[-1]
@@ -244,13 +250,9 @@ def _segment_spectra(b: np.ndarray, store: list | None, first: int, block: int, 
 
     Segment ``j`` is the ``n`` taps of ``b`` from ``first + j*block``,
     zero past the end of ``b``; the result has shape ``b.shape[:-1] +
-    (count, n // 2 + 1)``, or more segments when read from a store. A
-    ``store`` is a list, empty or holding one ``(geometry, spectra)``
-    pair: the spectra are read from it if it holds at least ``count``
-    segments for the geometry ``(first, block, n)``, and otherwise
-    computed and the pair replaced. The pair is read once and replaced
-    in one step, and a stored array is never written, so a store may be
-    shared between threads.
+    (count, n // 2 + 1)``, or more segments when read from a ``store``
+    (an empty list, or one ``(geometry, spectra)`` pair, kept under
+    :func:`middle`'s store rule).
     """
     key = (first, block, n)
     entry = store[0] if store else None
@@ -322,16 +324,12 @@ def futurefill(v: ArrayLike, w: ArrayLike) -> Signal:
     1-based positions ``t1+1 .. t1+t2-1`` of ``conv_full(v, w)``.
     Computed as one :func:`middle` window of that convolution, with a
     transform of at most ``t1 + t2 - 1`` points,
-    O((t1+t2) log (t1+t2)). Empty when ``t2 <= 1``.
+    O((t1+t2) log (t1+t2)). Empty when ``t2 <= 1``; zeros when
+    ``t1 == 0``.
     """
-    v = as_signal(v)
-    w = as_signal(w)
-    t1, t2 = len(v), len(w)
-    if t2 <= 1:
-        return Signal(np.zeros(0))
-    if t1 == 0:
-        return Signal(np.zeros(t2 - 1))
-    return Signal(middle(v.values, w.values, t1, t2 - 1))
+    v = as_signal(v).values
+    w = as_signal(w).values
+    return Signal(middle(v, w, v.size, w.size - 1))
 
 
 def _futurefill_direct(v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -132,11 +132,16 @@ def optimal_epoch_length(horizon: int) -> int:
     return int(math.sqrt(horizon * math.log2(horizon)) + 0.5)
 
 
-def _taps_of(phi: Filter | ArrayLike) -> tuple[np.ndarray, list | None]:
-    """Read-only float64 taps (one row on the last axis, or rows of them),
-    and a Filter's spectra store (None for array taps)."""
+def default_epoch_length(horizon: int) -> int:
+    """:class:`EpochedEngine`'s K when none is given, for every caller:
+    :func:`optimal_epoch_length`, and 1 below horizon 2."""
+    return optimal_epoch_length(horizon) if horizon >= 2 else 1
+
+
+def _taps_of(phi: Filter | ArrayLike) -> np.ndarray:
+    """Read-only float64 taps (one row on the last axis, or rows of them)."""
     if isinstance(phi, Filter):
-        return phi.taps_array(), phi._spectra
+        return phi.taps_array()
     taps = np.array(phi.values if isinstance(phi, Signal) else phi, dtype=np.float64)
     if taps.ndim == 0:
         taps = taps.reshape(1)
@@ -145,7 +150,7 @@ def _taps_of(phi: Filter | ArrayLike) -> tuple[np.ndarray, list | None]:
     if not np.isfinite(taps).all():
         raise ValueError("filter taps must be finite (no NaN/Inf)")
     taps.setflags(write=False)
-    return taps, None
+    return taps
 
 
 def _layout(lead: tuple, sample: tuple) -> tuple:
@@ -198,9 +203,9 @@ class OnlineConvEngine:
     instance from two threads. Distinct instances are independent.
     """
 
-    __slots__ = ("taps", "horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
+    __slots__ = ("horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
                  "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_tfirst", "_zeros",
-                 "push", "_past", "_mtaps", "_in", "_spectra")
+                 "push", "_past", "_mtaps", "_in")
 
     kind = "abstract"
     # attributes that alias the buffers or the instance; a pickled or
@@ -211,8 +216,7 @@ class OnlineConvEngine:
         horizon = int(horizon)
         if horizon < 1:
             raise ConfigurationError("horizon must be a positive integer")
-        taps, spectra = _taps_of(phi)
-        self.taps = taps
+        taps = _taps_of(phi)
         self.horizon = horizon
         self._ntaps = taps.shape[-1]
         self._t = 0
@@ -226,7 +230,6 @@ class OnlineConvEngine:
             self.size = 1
             self._zeros = None
             self._taps = taps
-            self._spectra = spectra
             self._buf = np.zeros(horizon)
             return
         shape, perm, rows = _layout(lead, sample_shape)
@@ -248,7 +251,6 @@ class OnlineConvEngine:
         full = taps.reshape(lt + (self._ntaps,)).transpose(perm + (len(shape),))
         self._taps = full.reshape(rows[:2] + (self._ntaps,)).copy()
         self._buf = np.zeros((rows[0], rows[2], horizon))
-        self._spectra = None  # a Filter's store holds the spectra of one row
 
     @property
     def steps(self) -> int:
@@ -319,9 +321,7 @@ class OnlineConvEngine:
 
     def __getstate__(self) -> dict:
         names = (n for cls in type(self).__mro__ for n in getattr(cls, "__slots__", ()))
-        state = {n: getattr(self, n) for n in names if n not in self._aliases}
-        state["_spectra"] = None  # a copy shares no Filter's store
-        return state
+        return {n: getattr(self, n) for n in names if n not in self._aliases}
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
@@ -475,40 +475,42 @@ class _BlockedEngine(OnlineConvEngine):
 class EpochedEngine(_BlockedEngine):
     """Cache the next K future contributions, rebuilding every K steps.
 
-    The block is the epoch (B = K). When the phase wraps, the cache is
-    repopulated with the future contribution of everything seen so
-    far, obtained from one :func:`~streamconv.convolution.middle`
-    product that never spans the 2t + K points of the full one: it is
-    summed directly while that is cheap, and otherwise transformed --
-    as a batch of short transforms over blocks of the past once that
-    holds one block (next_pow2(4K) points, next_pow2(2K) with leading
-    axes), and before that in one transform of about t + K points.
-    Only the slots a later push can read are filled: none at all for
-    the rebuild at the horizon, which is still counted and charged.
+    The block is the epoch (B = K), K being
+    :func:`default_epoch_length` of the horizon unless given. When the
+    phase wraps, the cache is repopulated with the future contribution
+    of everything seen so far: one :func:`~streamconv.convolution.middle`
+    window, whose paths never span the 2t + K points of the full
+    product. Only the slots a later push can read are filled: none at
+    all for the rebuild at the horizon, which is still counted and
+    charged.
 
-    An engine over one :class:`~streamconv.signal.Filter` and scalar
-    samples hands the Filter's spectra store to every rebuild, so the
-    tap segments of that batch are transformed only when their count
-    grows, and not at all by a later engine with the same K through the
-    same Filter (unless a short last rebuild, at a horizon K does not
-    divide, replaced the store with its own geometry). The store is the
-    Filter's, not the stream's: ``peak_aux_elems`` leaves it out, and
-    copies and pickles of the engine do not share it.
+    The one engine that reads a :class:`~streamconv.signal.Filter`'s
+    tap-spectra store: over one Filter and scalar samples it passes the
+    store to every rebuild, under ``middle``'s store rule. The store is
+    the Filter's, not the stream's: ``peak_aux_elems`` leaves it out,
+    and copies and pickles of the engine do not share it.
     """
 
-    __slots__ = ("epoch_len",)
+    __slots__ = ("epoch_len", "_spectra")
 
     kind = "epoched"
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, epoch_len: int | None = None,
                  sample_shape=None):
         if epoch_len is None:
-            epoch_len = optimal_epoch_length(horizon) if int(horizon) >= 2 else 1
+            epoch_len = default_epoch_length(int(horizon))
         epoch_len = int(epoch_len)
         if epoch_len < 1:
             raise ConfigurationError("epoch length must be >= 1")
         self.epoch_len = epoch_len
         super().__init__(phi, horizon, epoch_len, epoch_len, sample_shape)
+        # a Filter's store holds one row's spectra; batched rows would write another shape
+        self._spectra = phi._spectra if isinstance(phi, Filter) and not self.shape else None
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state["_spectra"] = None  # a copy shares no Filter's store
+        return state
 
     def _meter_one(self) -> CostMeter:
         t, k = self._t, self.epoch_len

@@ -103,8 +103,10 @@ def generate_scratch(
     exceed the filter's declared context length. An epoched engine
     built here reads and fills the Filter's tap-spectra store (see
     :class:`~streamconv.engines.EpochedEngine`); ``filter_spectra_elems``
-    is the store's size after the call.
+    is the store's size after the call, 0 for array taps, whose
+    throwaway store lives for the call alone.
     """
+    store = phi._spectra if isinstance(phi, Filter) else None
     phi = as_filter(phi)
     length = int(length)
     if length < 0:
@@ -131,7 +133,7 @@ def generate_scratch(
         meter=meter,
         prefill_transform_calls=0,
         decode_peak_aux_elems=meter.peak_aux_elems,
-        filter_spectra_elems=conv.spectra_floats(phi._spectra),
+        filter_spectra_elems=conv.spectra_floats(store),
     )
 
 
@@ -154,20 +156,11 @@ def prefill(
     positions L .. L+K-1 of ``conv_full(p, phi)`` -- computed as one
     :func:`~streamconv.convolution.middle` window of that convolution:
     summed directly while that is cheap, otherwise through transforms,
-    never of the 2L + K points of the full product. Once the prompt
-    holds ``next_pow2(4K) - K + 1`` samples they are a batch of
-    ``next_pow2(4K)``-point transforms over blocks of the prompt, each
-    block against its own segment of the taps; before that, one
-    transform of about L + K points.
-
-    A :class:`Filter` keeps the spectra of those tap segments for the
-    last geometry it served (``filter_spectra_elems`` floats, about
-    1.33 per tap), so a later prefill with that budget and a prompt no
-    longer than the one they were computed for transforms only the
-    prompt's blocks; otherwise, and after an epoched engine's rebuilds
-    have stored theirs, they are computed again and replace the stored
-    ones. Plain array taps are transformed on every call. A ``gen_budget`` of
-    zero yields a valid empty cache.
+    never of the 2L + K points of the full product. A :class:`Filter`
+    passes its tap-spectra store, so a later prefill that ``middle``'s
+    store rule lets read it transforms only the prompt's blocks; plain
+    array taps are transformed on every call. A ``gen_budget`` of zero
+    yields a valid empty cache.
     """
     return _prefill(finite_samples(prompt), *_read_taps(phi), int(gen_budget))
 

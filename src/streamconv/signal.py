@@ -98,12 +98,12 @@ class Filter:
     beyond the stored taps return zero (the kernel is implicitly
     zero-padded to any length an operation requires).
 
-    A Filter also keeps the spectra of its tap segments for the last
-    geometry it served (see ``convolution.middle``): a prefill's, or an
-    epoched engine's cache rebuilds', so that later prefills or engines
-    through it do not transform the taps again. They are derived from
-    the taps alone and are not part of the value: copies and pickles
-    leave them out.
+    A Filter also keeps a store of its tap segments' spectra, which
+    prefill and the epoched engine's cache rebuilds pass to
+    ``convolution.middle`` (whose docstring states the store rule), so
+    that later calls through it do not transform the taps again. They
+    are derived from the taps alone and are not part of the value:
+    copies and pickles leave them out.
     """
 
     __slots__ = ("_taps", "_context_length", "_spectra")

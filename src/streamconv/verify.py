@@ -26,8 +26,8 @@ from .engines import (
     ContinuousEngine,
     EpochedEngine,
     NaiveEngine,
+    default_epoch_length,
     k_of_t,
-    optimal_epoch_length,
 )
 from .errors import ConfigurationError
 from .generate import clamp_token, generate_prompted, oracle_prompted
@@ -142,7 +142,7 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
     for length in range(1, 49):
         u = rng.uniform(-1, 1, length)
         taps = rng.uniform(-1, 1, length)
-        epochs = sorted({1, optimal_epoch_length(length) if length >= 2 else 1, length})
+        epochs = sorted({1, default_epoch_length(length), length})
         engines = [NaiveEngine(taps, length), ContinuousEngine(taps, length)]
         engines += [EpochedEngine(taps, length, k) for k in epochs]
         check(u, taps, engines, "exhaustive")
@@ -154,7 +154,7 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
             engines = [
                 NaiveEngine(taps, length),
                 ContinuousEngine(taps, length),
-                EpochedEngine(taps, length, optimal_epoch_length(length)),
+                EpochedEngine(taps, length),
             ]
             check(u, taps, engines, "random")
     # the last instance, at the largest length, through one Filter
@@ -192,8 +192,8 @@ def suite_cost_bounds(res: SuiteResult, seed: int, max_l: int) -> None:
         if naive.meter.mac_count != length * (length + 1) // 2:
             res.fail(check="naive_mac", L=length, got=naive.meter.mac_count)
 
-        k = optimal_epoch_length(length)
-        epoched = EpochedEngine(taps, length, k)
+        epoched = EpochedEngine(taps, length)
+        k = epoched.epoch_len
         epoched.push_many(zeros)
         res.check()
         if epoched.meter.cache_rebuilds != length // k:
@@ -228,9 +228,12 @@ def suite_prompted_oracle(res: SuiteResult, seed: int, max_l: int) -> None:
     """Prompted generation vs the direct recurrence oracle.
 
     Each case runs once with plain array taps and once through a
-    :class:`Filter` with two prompts, the second of which reads the tap
-    spectra the first one stored (at K = 512 prompts from 1537 samples
-    on have them); the clamp token map keeps those outputs bounded.
+    :class:`Filter` with two prompts, half length then full (clamp
+    token map). The three engine kinds of one prompt share the Filter's
+    store: the first prefill stores the tap spectra (at K = 512 once
+    the prompt holds 1537 samples) and the other two read them. The
+    full-length prompt needs more segments than the half-length one
+    stored, so it transforms them all again.
     """
     rng = _rng(seed, 5)
 

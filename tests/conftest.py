@@ -31,3 +31,12 @@ def forward_rows(monkeypatch):
         return out, fft.rows
 
     return run
+
+
+@pytest.fixture
+def epoch_default_3(monkeypatch):
+    """The epoched engine's default K moved to 3, in every module that reads it."""
+    from streamconv import bench, engines, verify
+
+    for module in (engines, bench, verify):
+        monkeypatch.setattr(module, "default_epoch_length", lambda horizon: 3)

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from streamconv import ConfigurationError, optimal_epoch_length
+from streamconv import ConfigurationError, bench, optimal_epoch_length
 from streamconv.bench import (
     CSV_COLUMNS,
     fit_slope,
@@ -35,6 +37,24 @@ class TestRecords:
                 assert rec.K_epoch == optimal_epoch_length(rec.L_gen)
             else:
                 assert rec.K_epoch == 0
+
+    @pytest.mark.parametrize("mode", ["scratch", "prompt"])
+    def test_moved_default_k_is_recorded_and_run(self, epoch_default_3, mode):
+        rec, = run_bench(["epoched"], [64], mode=mode, prompt_len=10, trials=1, warmup=0)
+        assert rec.K_epoch == 3
+        assert (rec.cache_rebuilds, rec.peak_aux_elems) == (64 // 3, 3)
+
+    @pytest.mark.parametrize("mode", ["scratch", "prompt"])
+    def test_wall_excludes_set_up(self, monkeypatch, mode):
+        def slow_taps(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        real = bench.make_taps
+        monkeypatch.setattr(bench, "make_taps", slow_taps)
+        recs = run_bench(["naive"], [8], mode=mode, prompt_len=4, channels=2,
+                         trials=1, warmup=0)
+        assert recs[0].wall_ns < 0.2e9
 
     def test_wall_positive(self, records):
         assert all(rec.wall_ns > 0 for rec in records)

@@ -365,6 +365,13 @@ class TestFutureFill:
         assert len(futurefill([1, 2, 3], [1.0])) == 0
         assert len(futurefill([1, 2, 3], [])) == 0
 
+    @pytest.mark.parametrize("v, w", [([1, 2], [1, 10, 100]), ([], [1, 2, 3]),
+                                      ([1, 2, 3], [1.0]), ([1, 2, 3], []), ([], [])])
+    def test_every_call_is_one_middle_call(self, v, w):
+        before = conv.transform_calls()
+        futurefill(v, w)
+        assert conv.transform_calls() == before + 1
+
     def test_length_is_len_w_minus_one(self):
         assert len(futurefill([1, 2, 3, 4], [1, 2, 3])) == 2
 

@@ -271,6 +271,36 @@ class TestEpochedFilterSpectra:
         assert not any(t.is_alive() for t in threads) and errors == []
         assert len(phi._spectra) == 1
 
+    @pytest.mark.parametrize("kind", ["naive", "continuous"])
+    def test_other_engines_hold_no_store(self, kind):
+        u, taps = self.inputs(65)
+        phi = Filter(taps[:4096])
+        eng = make_engine(kind, phi, 4096)
+        slots = {n for cls in type(eng).__mro__ for n in getattr(cls, "__slots__", ())}
+        assert not any(getattr(eng, n, None) is phi._spectra for n in slots)
+        eng.push_many(u[:4096])
+        assert phi._spectra == []
+
+    def test_verify_default_engines_take_the_default(self, epoch_default_3, monkeypatch):
+        from streamconv import verify
+
+        made = []
+
+        class Spy(EpochedEngine):
+            __slots__ = ()
+
+            def __init__(self, phi, horizon, epoch_len=None, sample_shape=None):
+                super().__init__(phi, horizon, epoch_len, sample_shape)
+                made.append((horizon, epoch_len, self.epoch_len))
+
+        monkeypatch.setattr(verify, "EpochedEngine", Spy)
+        for suite in (verify.suite_oracle_equivalence, verify.suite_cost_bounds):
+            res = verify.SuiteResult(suite.__name__)
+            suite(res, 0, 256)
+            assert res.passed
+        assert {k for _, given, k in made if given is None} == {3}
+        assert all((length, 3, 3) in made for length in range(4, 49))  # exhaustive K set
+
 
 class TestContinuous:
     def test_trace_with_cache_contents(self):
@@ -596,6 +626,17 @@ class TestBatched:
             assert eng.steps == 0
             np.testing.assert_array_equal(eng.push_many(u), want, err_msg=kind)
             assert eng.meter == fresh.meter
+
+    @pytest.mark.parametrize("kind", ["epoched", "continuous"])
+    def test_state_holds_the_taps_once(self, kind):
+        # the stu-online layout: 4 filters over 3 channels
+        taps = np.random.default_rng(71).uniform(-1, 1, (4, 1, 256))
+        eng = make_engine(kind, taps, 256, sample_shape=(3,))
+        want = np.sort(taps, axis=None)
+        state = eng.__getstate__()  # what a pickle or a copy writes
+        copies = [name for name, v in state.items() if isinstance(v, np.ndarray)
+                  and v.size == want.size and np.array_equal(np.sort(v, axis=None), want)]
+        assert copies == ["_taps"]
 
     def test_scalar_and_batched_push_types(self):
         taps = np.random.default_rng(3).uniform(-1, 1, (2, 1, 70))

@@ -334,6 +334,16 @@ class TestFilterSpectra:
         assert not any(t.is_alive() for t in threads) and errors == []
         assert len(phi._spectra) == 1
 
+    def test_scratch_reports_only_a_filters_store(self):
+        # array taps get a throwaway Filter for the call; its store is not reported
+        taps = np.random.default_rng(67).uniform(-1, 1, 1 << 14)
+        phi = Filter(taps)
+        plain = generate_scratch(taps, taps.size, "epoched", 0.5, clamp_token())
+        held = generate_scratch(phi, taps.size, "epoched", 0.5, clamp_token())
+        assert plain.filter_spectra_elems == 0
+        assert held.filter_spectra_elems == conv.spectra_floats(phi._spectra) > 0
+        assert plain.outputs == held.outputs
+
     def test_verify_covers_the_reused_path(self, monkeypatch):
         from streamconv.verify import SuiteResult, suite_prompted_oracle
 

@@ -95,7 +95,7 @@ def _channel_call(
     epoch_len: int | None,
     filter_source: str,
     channel_seed: int,
-):
+) -> partial:
     """One channel's generation call, with its inputs drawn and its
     Filter built."""
     stream = SplitMix64(channel_seed)

@@ -204,7 +204,7 @@ class OnlineConvEngine:
     """
 
     __slots__ = ("horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
-                 "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_tfirst", "_zeros",
+                 "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_zeros",
                  "push", "_past", "_mtaps", "_in")
 
     kind = "abstract"
@@ -226,7 +226,6 @@ class OnlineConvEngine:
             # the scalar engine: 1-d taps and buffer, nothing to lay out
             self.shape = self.sample_shape = self._rows = self._perm = ()
             self._oshape = self._oinv = ()
-            self._tfirst = (0,)
             self.size = 1
             self._zeros = None
             self._taps = taps
@@ -242,8 +241,6 @@ class OnlineConvEngine:
         # layout order, then their inverse permutation
         self._oshape = tuple(shape[i] for i in perm)
         self._oinv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-        # middle's (S, F, G, n) windows -> (n, S, F, G), the cache's layout
-        self._tfirst = (3, 0, 1, 2)
         self._zeros = np.zeros(math.prod(sample_shape))
         # taps (S, F, L) and a buffer (S, G, horizon), whose (S, 1, G, t)
         # view middle broadcasts against the taps' (S, F, 1, L) view
@@ -387,7 +384,8 @@ class _BlockedEngine(OnlineConvEngine):
     buffer write, one slot read and one inner product (scalar) or one
     matrix product (batched). After the block's last step,
     ``_next_block(t)`` returns the cached slots t+1 .. t+B of the next
-    one, on the first axis of an array.
+    one. The cache keeps its slots on the last axis, as ``middle``
+    writes them.
     """
 
     __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_bufv", "_rtaps_b")
@@ -406,20 +404,20 @@ class _BlockedEngine(OnlineConvEngine):
         n = min(block, self._ntaps)
         r[..., block - n:] = taps[..., :n][..., ::-1]
         self._rtaps_b = r
-        # slot s of the cache at index s - 1, each slot one (S, F, G) row
-        self._cache = np.zeros((cache_len,) + self._rows)
-        self._first_block()
+        # slot s of the cache at index s - 1 of the last axis, after the (S, F, G) rows
+        self._cache = np.zeros(self._rows + (cache_len,))
+        self._start(0, self._cache[..., :block])
         self._bind()
 
     @property
     def cache(self) -> np.ndarray:
         """Copy of the current cache (slot s at index s-1), each slot of ``shape``."""
-        return self._to_user(self._cache).copy()
+        return self._to_user(np.moveaxis(self._cache, -1, 0)).copy()
 
     def reset(self) -> None:
         super().reset()
         self._cache[...] = 0.0
-        self._first_block()
+        self._start(0, self._cache[..., :self._last + 1])
 
     def _push_scalar(self, sample: float) -> float:
         t = self._t
@@ -442,7 +440,7 @@ class _BlockedEngine(OnlineConvEngine):
         p = t - self._e0
         # (S, F, tau) @ (S, tau, G): r[B-tau:] against the block's first tau inputs
         acc = self._rtaps_b[..., self._last - p:] @ self._blk[..., :p + 1].mT
-        acc += self._slots[p]
+        acc += self._slots[..., p]
         t += 1
         self._t = t
         if p == self._last:
@@ -450,21 +448,14 @@ class _BlockedEngine(OnlineConvEngine):
         return acc.reshape(self._oshape).transpose(self._oinv)
 
     def _next_block(self, t: int) -> np.ndarray:
-        """Cached slots t+1 .. t+B on the first axis, after the t-th push."""
+        """Cached slots t+1 .. t+B on the last axis, after the t-th push."""
         raise NotImplementedError
 
     def _start(self, t: int, slots: np.ndarray) -> None:
-        # Python floats for the scalar step, (S, F, G) rows for the batched one
+        # Python floats for the scalar step, (S, F, G, B) slots for the batched one
         self._e0 = t
         self._slots = slots if self.shape else slots.tolist()
         self._blk = self._buf[..., t:t + self._last + 1]
-
-    def _first_block(self) -> None:
-        # nothing is cached yet: the scalar step's zeros are built as a
-        # list, which costs less than converting the cache's first slots
-        self._e0 = 0
-        self._slots = self._cache[:self._last + 1] if self.shape else [0.0] * (self._last + 1)
-        self._blk = self._buf[..., :self._last + 1]
 
     def _bind(self) -> None:
         super()._bind()
@@ -528,9 +519,8 @@ class EpochedEngine(_BlockedEngine):
         cache = self._cache
         n = max(0, min(self.epoch_len, self.horizon - t))  # the slots a later push reads
         if n > 0:
-            cache[:n] = middle(self._past[..., :t], self._mtaps, t, n,
-                               self._spectra).transpose(self._tfirst)
-        cache[n:] = 0.0
+            cache[..., :n] = middle(self._past[..., :t], self._mtaps, t, n, self._spectra)
+        cache[..., n:] = 0.0
         return cache
 
 
@@ -592,9 +582,9 @@ class ContinuousEngine(_BlockedEngine):
         m = t & -t
         n = min(m, self.horizon - t)
         if n > 0:
-            ahead = self._cache[t:t + n]
-            ahead += middle(self._past[..., t - m:t], self._mtaps, m, n).transpose(self._tfirst)
-        return self._cache[t:t + _BLOCK]
+            ahead = self._cache[..., t:t + n]
+            ahead += middle(self._past[..., t - m:t], self._mtaps, m, n)
+        return self._cache[..., t:t + _BLOCK]
 
 
 def make_engine(

@@ -104,7 +104,8 @@ def generate_scratch(
     built here reads and fills the Filter's tap-spectra store (see
     :class:`~streamconv.engines.EpochedEngine`); ``filter_spectra_elems``
     is the store's size after the call, 0 for array taps, whose
-    throwaway store lives for the call alone.
+    throwaway store lives for the call alone. With ``length`` 0 and no
+    ``engine`` given, no engine is built and the meter is ``CostMeter()``.
     """
     store = phi._spectra if isinstance(phi, Filter) else None
     phi = as_filter(phi)
@@ -118,7 +119,10 @@ def generate_scratch(
         )
     tmap = token_map or identity_token
     if engine is None:
-        engine = make_engine(engine_kind, phi, max(length, 1), epoch_len)
+        if length == 0:
+            return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0,
+                                    conv.spectra_floats(store))
+        engine = make_engine(engine_kind, phi, length, epoch_len)
     outs: list = []
     append = outs.append
     token = float(seed_token)

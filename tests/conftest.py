@@ -1,9 +1,17 @@
 """Helpers shared by the test modules."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from streamconv import convolution as conv
+
+# ``pythonpath`` in pyproject.toml reaches this process only; child
+# processes (``python -m streamconv.cli``) find the package through this
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 class CountingFFT:

@@ -495,6 +495,32 @@ class TestCrossEngine:
         for kind in ENGINE_KINDS:
             err = np.max(np.abs(make_engine(kind, taps, length).push_many(u) - exact))
             assert err <= bound, (kind, err, bound)
+        # through one Filter: the second run's rebuilds read every tap
+        # segment from the store the first run filled
+        phi = Filter(taps)
+        first = EpochedEngine(phi, length).push_many(u)
+        stored = phi._spectra[0]
+        second = EpochedEngine(phi, length).push_many(u)
+        assert len(phi._spectra) == 1 and phi._spectra[0] is stored
+        for out in (first, second):
+            err = np.max(np.abs(out - exact))
+            assert err <= bound, (err, bound)
+
+    def test_exact_integer_oracle_batched_at_stu_scale(self):
+        # the stu-online shape: 16 integer filters over 8 integer channels
+        length, filters, channels = 1024, 16, 8
+        rng = np.random.default_rng(43)
+        u = rng.integers(-8, 9, (length, channels)).astype(float)
+        taps = rng.integers(-8, 9, (filters, 1, length)).astype(float)
+        exact = np.array([[np.convolve(u[:, c], taps[f, 0])[:length] for c in range(channels)]
+                          for f in range(filters)]).transpose(2, 0, 1)
+        # the scalar bound, per cell: log2 L eps |u_c|_1 |phi_f|_inf
+        bound = (np.log2(length) * np.finfo(float).eps
+                 * np.abs(taps).max(axis=-1) * np.abs(u).sum(axis=0))
+        for kind in ENGINE_KINDS:
+            err = np.abs(make_engine(kind, taps, length, sample_shape=(channels,))
+                         .push_many(u) - exact).max(axis=0)
+            assert np.all(err <= bound), (kind, np.max(err / bound))
 
     def test_copy_and_pickle_resume_mid_stream(self):
         rng = np.random.default_rng(17)

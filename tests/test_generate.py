@@ -9,7 +9,9 @@ import pytest
 
 from streamconv import convolution as conv
 from streamconv import (
+    ENGINE_KINDS,
     ConfigurationError,
+    CostMeter,
     Filter,
     clamp_token,
     generate_prompted,
@@ -52,6 +54,11 @@ class TestScratch:
 
     def test_zero_length(self):
         assert len(generate_scratch(Filter([1.0], 4), 0)) == 0
+        # no token, no engine: every kind reports an empty meter, as prompted does
+        for kind in ENGINE_KINDS:
+            res = generate_scratch(Filter([0.5, 0.25], 4), 0, kind)
+            assert len(res) == 0 and res.meter == CostMeter(), kind
+            assert res.meter == generate_prompted([1.0], [0.5, 0.25], 0, kind).meter
 
 
 class TestPrefill:

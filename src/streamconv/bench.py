@@ -164,8 +164,8 @@ def run_bench(
     lengths = [int(x) for x in lengths]
     if lengths and min(lengths) < 1:
         raise ConfigurationError(f"--lengths must be >= 1, got {min(lengths)}")
-    if sorted(lengths) != lengths:
-        raise ConfigurationError("lengths must be ascending")
+    if any(a >= b for a, b in zip(lengths, lengths[1:])):
+        raise ConfigurationError(f"--lengths must be strictly ascending, got {lengths}")
     for kind in engine_kinds:
         if kind not in ENGINE_KINDS:
             raise ConfigurationError(f"unknown engine kind {kind!r}")

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engines", default="all",
                    help="comma list of naive,epoched,continuous or 'all'")
     p.add_argument("--lengths", required=True,
-                   help="comma list of ascending generation lengths")
+                   help="comma list of strictly ascending generation lengths")
     p.add_argument("--mode", choices=("scratch", "prompt"), default="scratch")
     p.add_argument("--prompt-len", type=int, default=0)
     p.add_argument("--epoch-len", type=int, default=0,

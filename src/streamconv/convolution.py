@@ -164,13 +164,10 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int,
     _fast_conv_calls += 1
     end = start + count
     lb = b.shape[-1]
-    lo = start - lb + 1  # first input index that meets a stored tap
-    if lo > 0:
-        a = a[..., lo:end]
-        start -= lo
-        end -= lo
-    elif a.shape[-1] > end:
-        a = a[..., :end]
+    lo = max(start - lb + 1, 0)  # first input index that meets a stored tap
+    a = a[..., lo:end]
+    start -= lo
+    end -= lo
     la = a.shape[-1]
     if lb > end:
         lb = end  # taps past the window are never read

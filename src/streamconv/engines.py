@@ -358,11 +358,8 @@ class NaiveEngine(OnlineConvEngine):
         t += 1
         self._t = t
         m = self._ntaps
-        if m == 0:
-            return 0.0
-        if t <= m:
-            return float(_dot(buf[:t], self._rtaps[m - t:]))
-        return float(_dot(buf[t - m:t], self._rtaps))
+        w = t if t < m else m
+        return float(_dot(buf[t - w:t], self._rtaps[m - w:]))
 
     def _push_batched(self, sample) -> np.ndarray:
         t = self._accept(sample) + 1
@@ -440,7 +437,7 @@ class _BlockedEngine(OnlineConvEngine):
         p = t - self._e0
         # (S, F, tau) @ (S, tau, G): r[B-tau:] against the block's first tau inputs
         acc = self._rtaps_b[..., self._last - p:] @ self._blk[..., :p + 1].mT
-        acc += self._slots[..., p]
+        acc += self._slots[p]
         t += 1
         self._t = t
         if p == self._last:
@@ -452,9 +449,9 @@ class _BlockedEngine(OnlineConvEngine):
         raise NotImplementedError
 
     def _start(self, t: int, slots: np.ndarray) -> None:
-        # Python floats for the scalar step, (S, F, G, B) slots for the batched one
+        # each step reads its own copy of the block: floats, or (B, S, F, G) rows
         self._e0 = t
-        self._slots = slots if self.shape else slots.tolist()
+        self._slots = np.moveaxis(slots, -1, 0).copy() if self.shape else slots.tolist()
         self._blk = self._buf[..., t:t + self._last + 1]
 
     def _bind(self) -> None:

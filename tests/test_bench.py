@@ -78,6 +78,12 @@ class TestRecords:
         with pytest.raises(ConfigurationError):
             run_bench(["naive"], [128, 64], trials=1, warmup=0)
 
+    def test_rejects_repeated_lengths(self):
+        # a repeated length would give one cell two first trials, and
+        # summarize would keep one of them
+        with pytest.raises(ConfigurationError, match="--lengths must be strictly ascending"):
+            run_bench(["continuous"], [64, 64], trials=2, warmup=0)
+
     def test_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError):
             run_bench(["fourier"], [64], trials=1, warmup=0)

@@ -151,7 +151,26 @@ def test_claim_holds_and_nothing_else_moves(tmp_path):
     assert v["bounds"]["prompt-long"]["tok_s.continuous"]["verdict"] == "within"
     assert v["bounds"]["prompt-long"]["peak_rss_mb"]["worse_by"] == 0.0
     assert "ttft_ms" not in v["bounds"]["prompt-long"]
+    assert v["pairs"] == {"prompt-long": 10}
     assert v["passes"]
+
+
+def test_nine_pairs_hold_no_claim_and_pass_nothing(tmp_path):
+    # the holding claim above without its lost pair: 9/9 wins, gain far past the IQR
+    parent_ttft = PARENT_TTFT[:8] + PARENT_TTFT[9:]
+    change_ttft = [9.5, 9.8, 9.2, 10.1, 9.6, 9.4, 9.9, 9.7, 9.3]
+    flat = {name: values[:9] for name, values in FLAT.items()}
+    code, v = judge(tmp_path, {"prompt-long": {"ttft_ms": parent_ttft, **flat}},
+                    {"prompt-long": {"ttft_ms": change_ttft, **flat}})
+    assert code == 0 and v["pairs"] == {"prompt-long": 9}
+    assert v["claim"]["change_better_pairs"] == "9/9"
+    assert v["claim"]["median_gain"] > v["claim"]["parent_iqr"]
+    assert not v["claim"]["holds"] and not v["passes"]
+    # nor does a claim-free record pass on nine pairs
+    code, v = judge(tmp_path, {"prompt-long": {"ttft_ms": parent_ttft, **flat}},
+                    {"prompt-long": {"ttft_ms": parent_ttft, **flat}}, claim=None)
+    assert code == 0 and not v["passes"]
+    assert all(e["verdict"] == "within" for e in v["bounds"]["prompt-long"].values())
 
 
 @pytest.mark.parametrize("change_ttft", [

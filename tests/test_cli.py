@@ -167,6 +167,14 @@ class TestBenchAndSlope:
         assert f"error: {flags[-2]} must be >= " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_length_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        rc = main(["bench", "--engines", "continuous", "--lengths", "64,64",
+                   "--trials", "2", "--warmup", "0", "--output", str(out)])
+        assert rc == 2
+        assert "error: --lengths must be strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         rc = main(["bench", "--engines", "naive", "--lengths", "64",
                    "--trials", "1", "--warmup", "0",

@@ -506,6 +506,30 @@ class TestCrossEngine:
             err = np.max(np.abs(out - exact))
             assert err <= bound, (err, bound)
 
+    def test_exact_integer_oracle_at_2_18(self):
+        # samples and taps in -8..8: the full product in one float64
+        # transform errs by about log2 L eps |u|_1 |phi|_inf, far below
+        # 0.5, so rounding it gives the exact integer convolution
+        rng = np.random.default_rng(47)
+
+        def case(length):
+            u = rng.integers(-8, 9, length).astype(float)
+            taps = rng.integers(-8, 9, length).astype(float)
+            n = next_pow2(2 * length - 1)
+            raw = np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(taps, n), n)[:length]
+            bound = (np.log2(length) * np.finfo(float).eps
+                     * np.sum(np.abs(u)) * np.max(np.abs(taps)))
+            assert np.max(np.abs(raw - np.rint(raw))) <= bound < 0.5
+            return u, taps, np.rint(raw), bound
+
+        u, taps, exact, _ = case(1 << 12)
+        np.testing.assert_array_equal(exact, np.convolve(u, taps)[:1 << 12])
+        length = 1 << 18
+        u, taps, exact, bound = case(length)
+        for kind in ("epoched", "continuous"):
+            err = np.max(np.abs(make_engine(kind, taps, length).push_many(u) - exact))
+            assert err <= bound, (kind, err, bound)
+
     def test_exact_integer_oracle_batched_at_stu_scale(self):
         # the stu-online shape: 16 integer filters over 8 integer channels
         length, filters, channels = 1024, 16, 8

@@ -35,16 +35,20 @@ with the host, not with the code.
 
 With end-to-end runs the record gets a ``verdict`` block that applies
 the acceptance rule, reading each metric's ``bound`` from the same
-file. The claimed metric (``--claim
-METRIC@WORKLOAD``, optional) holds if the change did better in at least
-nine of ten pairs and its median is better than the parent's by more
-than the parent's interquartile distance. Every other metric is
+file. It records the pairs per workload (the fewer runs of its two
+sides); a set of fewer than ten pairs can lean by several percent on
+unchanged code, so no claim holds and no record passes on one. The
+claimed metric (``--claim METRIC@WORKLOAD``, optional) holds if the
+change did better in at least nine of ten pairs and its median is
+better than the parent's by more than the parent's interquartile
+distance. Every other metric is
 ``within`` its bound, ``worse`` (the change median is worse than the
 parent median by more than ``bound`` times the parent median), or
 ``unresolved`` (the parent's own interquartile distance is wider than
 that, unless every change run did better than every parent run, which
-counts as ``within``). ``passes`` is true when the claim, if any, holds and every other
-metric is ``within``.
+counts as ``within``). ``passes`` is true when every workload has at
+least ten pairs, the claim, if any, holds and every other metric is
+``within``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import numpy as np
 ENVIRONMENT_KEYS = ("python", "numpy", "scipy", "nproc", "cpu", "caches")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 CLAIM_PAIR_SHARE = 0.9  # of the pairs a claimed gain must win
+MIN_PAIRS = 10  # per workload, for a claim to hold or a record to pass
 FLOOR = "generate.floor_ns_per_tok"  # the bare token loop: host speed, not code
 
 
@@ -131,9 +136,10 @@ def read_bounds() -> dict:
     return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
-def verdict(metrics: dict, bounds: dict, claim: str | None) -> dict:
-    """The acceptance rule over ``{workload: {metric: entry}}`` (see the module doc)."""
-    out = {"claim": None, "bounds": {}}
+def verdict(metrics: dict, bounds: dict, claim: str | None, pairs: dict) -> dict:
+    """The acceptance rule over ``{workload: {metric: entry}}`` with
+    ``pairs`` per workload (see the module doc)."""
+    out = {"claim": None, "pairs": pairs, "bounds": {}}
     if claim is not None:
         name, _, workload = claim.partition("@")
         if name not in bounds or name not in metrics.get(workload, {}):
@@ -153,7 +159,8 @@ def verdict(metrics: dict, bounds: dict, claim: str | None) -> dict:
                     "metric": name, "workload": workload,
                     "change_better_pairs": entry["change_better_pairs"],
                     "median_gain": gain, "parent_iqr": q3 - q1,
-                    "holds": wins >= CLAIM_PAIR_SHARE * n and gain > q3 - q1}
+                    "holds": (n >= MIN_PAIRS and wins >= CLAIM_PAIR_SHARE * n
+                              and gain > q3 - q1)}
                 continue
             if entry["change_better_every_run"]:
                 status = "within"
@@ -166,8 +173,10 @@ def verdict(metrics: dict, bounds: dict, claim: str | None) -> dict:
             out["bounds"].setdefault(workload, {})[name] = {
                 "worse_by": -gain / abs(parent) if parent else 0.0, "bound": bound,
                 "verdict": status}
-    out["passes"] = (claim is None or out["claim"]["holds"]) and all(
-        v["verdict"] == "within" for entries in out["bounds"].values() for v in entries.values())
+    out["passes"] = (all(n >= MIN_PAIRS for n in pairs.values())
+                     and (claim is None or out["claim"]["holds"])
+                     and all(v["verdict"] == "within" for entries in out["bounds"].values()
+                             for v in entries.values()))
     return out
 
 
@@ -209,7 +218,8 @@ def build(title: str, parent_commit: str, parent: list, change: list,
         if trace:
             record[section]["host_drift"] = drift
         else:
-            record["verdict"] = verdict(metrics, bounds, claim)
+            record["verdict"] = verdict(metrics, bounds, claim,
+                                        {wl: min(n.values()) for wl, n in runs.items()})
     if claim is not None and "verdict" not in record:
         raise ValueError(f"--claim {claim} needs end-to-end runs")
     return record

@@ -40,17 +40,22 @@ temporaries of those calls are reused heap blocks, not fresh pages:
 :mod:`~streamconv.convolution` fixes the C library's thresholds for
 freed blocks when it is imported.
 
-The push methods are deliberately flat: they run once per generated
-token, so attribute traffic and tiny-array dispatch dominate the
-wall-clock of the sub-quadratic engines at practical sizes. The scalar
-step therefore writes the sample through a ``memoryview`` of the
+Generation is a closed loop, and it runs inside the engine:
+``run(x, n, feed)`` pushes ``x``, then ``feed(y)`` of every output
+``y`` but the last, n pushes in all. At practical sizes a Python call
+per token costs more than the transforms, so the scalar blocked step
+lives only in that loop: it binds the engine's attributes to locals
+once per block, writes each sample through a ``memoryview`` of the
 buffer, reads its cached slot from a list of Python floats and calls
-BLAS ``ddot`` directly, and returns a Python float; a batched ``push``
-returns a fresh array of the engine's ``shape``.
+BLAS ``ddot`` directly. ``push`` is that loop run for one sample, and
+returns a Python float. The naive engine, batched engines and any
+object with a ``push`` alone get the same contract from one generic
+loop over ``push`` (:func:`push_loop`); a batched ``push`` returns a
+fresh array of the engine's ``shape``.
 
-``push`` rejects a NaN or infinite sample (any entry of it, for a
-batched engine) with ``ValueError`` before it changes any state, as
-:class:`~streamconv.signal.Signal` does, so the engine goes on as if
+``push`` and ``run`` reject a NaN or infinite sample (any entry of it,
+for a batched engine) with ``ValueError`` before it changes any state,
+as :class:`~streamconv.signal.Signal` does, so the engine goes on as if
 the sample had never been offered.
 """
 
@@ -58,7 +63,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass
+from functools import partial
 from math import isfinite as _isfinite
+from operator import pos
 
 import numpy as np
 from numpy import dot as _dot
@@ -138,6 +145,20 @@ def default_epoch_length(horizon: int) -> int:
     return optimal_epoch_length(horizon) if horizon >= 2 else 1
 
 
+def push_loop(push, x, n: int, feed) -> list:
+    """The closed loop over any ``push``: push ``x``, then ``feed(y)`` of
+    every output ``y`` but the last; the ``n`` outputs, in a list."""
+    outs: list = []
+    append = outs.append
+    for _ in range(n - 1):
+        y = push(x)
+        append(y)
+        x = feed(y)
+    if n > 0:
+        append(push(x))
+    return outs
+
+
 def _taps_of(phi: Filter | ArrayLike) -> np.ndarray:
     """Read-only float64 taps (one row on the last axis, or rows of them)."""
     if isinstance(phi, Filter):
@@ -199,18 +220,25 @@ class OnlineConvEngine:
     buffer and of the cached slots. The meter counts every output
     cell: ``size`` times the scalar engine's counters.
 
+    ``run(x, n, feed)`` is the closed loop of generation: it pushes
+    ``x``, then ``feed(y)`` of each output ``y`` but the last (n pushes,
+    n - 1 feeds) and returns the n outputs in a list. It checks that n
+    pushes fit the horizon before it makes any; a rejected sample, or a
+    ``feed`` that raises, leaves the pushes made before it, as many
+    ``push`` calls would.
+
     A single instance is single-owner mutable state: never push to one
     instance from two threads. Distinct instances are independent.
     """
 
     __slots__ = ("horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
                  "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_zeros",
-                 "push", "_past", "_mtaps", "_in")
+                 "push", "run", "_past", "_mtaps", "_in")
 
     kind = "abstract"
     # attributes that alias the buffers or the instance; a pickled or
     # copied state leaves them out, and _bind rebuilds them
-    _aliases: tuple = ("push", "_past", "_mtaps", "_in")
+    _aliases: tuple = ("push", "run", "_past", "_mtaps", "_in")
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
         horizon = int(horizon)
@@ -264,26 +292,42 @@ class OnlineConvEngine:
         raise NotImplementedError
 
     def push_many(self, samples) -> np.ndarray:
-        out = np.empty((len(samples),) + self.shape)
-        push = self.push
-        for i, x in enumerate(samples):
-            out[i] = push(x)
-        return out
+        """The outputs of pushing ``samples`` in order, on a new first axis."""
+        xs = list(samples)
+        if not xs:
+            return np.empty((0,) + self.shape)
+        # next(rest, y): the next sample (y is the default, never reached)
+        feed = partial(next, iter(xs[1:]))
+        return np.array(self.run(xs[0], len(xs), feed), dtype=np.float64)
 
     def reset(self) -> None:
         self._buf[...] = 0.0
         self._t = 0
 
+    def _room(self, n: int) -> None:
+        """Check that ``n`` more pushes fit the horizon, before any is made."""
+        if n < 0:
+            raise ValueError(f"a run makes n >= 0 pushes, got {n}")
+        if n > self.horizon - self._t:
+            raise HorizonError(f"push {self.horizon + 1} exceeds declared horizon {self.horizon}")
+
+    def _run_pushes(self, x, n: int, feed) -> list:
+        self._room(n)
+        return push_loop(self.push, x, n, feed)
+
     def _bind(self) -> None:
         """(Re)build the attributes named in ``_aliases``.
 
         ``push`` is the scalar step on Python floats or the batched step
-        on (S, F, G) rows, as ``shape`` decided at construction.
+        on (S, F, G) rows, as ``shape`` decided at construction, and
+        ``run`` the generic loop over it (a blocked scalar engine binds
+        its own loop instead).
         ``_past`` and ``_mtaps`` are the buffer and the taps as
         :func:`~streamconv.convolution.middle` reads them, and ``_in``
         the buffer's (horizon, *sample_shape) view that a batched sample
         is written through.
         """
+        self.run = self._run_pushes
         if not self.shape:
             self.push = self._push_scalar
             self._past, self._mtaps = self._buf, self._taps
@@ -378,16 +422,16 @@ class _BlockedEngine(OnlineConvEngine):
     step) the output is the cached slot, which holds the contribution of
     every input before the block, plus the within-block sum: the block's
     first tau inputs against the first tau taps, reversed. That is one
-    buffer write, one slot read and one inner product (scalar) or one
-    matrix product (batched). After the block's last step,
-    ``_next_block(t)`` returns the cached slots t+1 .. t+B of the next
-    one. The cache keeps its slots on the last axis, as ``middle``
-    writes them.
+    buffer write, one slot read and one inner product (scalar, in
+    ``run``'s loop) or one matrix product (batched, in ``push``). After
+    the block's last step, ``_next_block(t)`` returns the cached slots
+    t+1 .. t+B of the next one. The cache keeps its slots on the last
+    axis, as ``middle`` writes them.
     """
 
-    __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_bufv", "_rtaps_b")
+    __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_blkv", "_rtaps_b")
 
-    _aliases = OnlineConvEngine._aliases + ("_bufv", "_blk")
+    _aliases = OnlineConvEngine._aliases + ("_blk", "_blkv")
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, block: int, cache_len: int,
                  sample_shape=None):
@@ -403,6 +447,8 @@ class _BlockedEngine(OnlineConvEngine):
         self._rtaps_b = r
         # slot s of the cache at index s - 1 of the last axis, after the (S, F, G) rows
         self._cache = np.zeros(self._rows + (cache_len,))
+        # the batched step's own (B, S, F, G) copy of its block, refilled by _start
+        self._slots = np.zeros((block,) + self._rows) if self.shape else None
         self._start(0, self._cache[..., :block])
         self._bind()
 
@@ -417,20 +463,38 @@ class _BlockedEngine(OnlineConvEngine):
         self._start(0, self._cache[..., :self._last + 1])
 
     def _push_scalar(self, sample: float) -> float:
-        t = self._t
-        if t >= self.horizon:
-            raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
-        if not _isfinite(sample):
-            raise ValueError(f"sample must be finite (no NaN/Inf), got {sample!r}")
-        self._bufv[t] = sample
-        p = t - self._e0  # phase tau - 1
-        # ddot(x, y, n, offx): r[B-tau:] . block[:tau]
-        acc = self._slots[p] + _ddot(self._rtaps_b, self._blk, p + 1, self._last - p)
-        t += 1
-        self._t = t
-        if p == self._last:
-            self._start(t, self._next_block(t))
-        return acc
+        return self.run(sample, 1, None)[0]
+
+    def _run_scalar(self, x, n: int, feed) -> list:
+        """``run`` on a scalar engine: the one scalar blocked step."""
+        t0 = t = self._t
+        end = t + n
+        if not t <= end <= self.horizon:
+            self._room(n)
+        outs: list = []
+        append = outs.append
+        r, last, ddot, isfinite = self._rtaps_b, self._last, _ddot, _isfinite
+        y, f = x, pos  # the first push takes x itself: +x is x
+        try:
+            while t < end:
+                e0, slots, blk, blkv = self._e0, self._slots, self._blk, self._blkv
+                # phases p .. q-1 of this block; the first push runs alone
+                p = t - e0
+                q = p + 1 if t == t0 else min(last + 1, end - e0)
+                for p in range(p, q):
+                    x = f(y)
+                    if not isfinite(x):
+                        raise ValueError(f"sample must be finite (no NaN/Inf), got {x!r}")
+                    blkv[p] = x
+                    # ddot(x, y, n, offx): r[B-tau:] . block[:tau] at phase tau = p + 1
+                    y = slots[p] + ddot(r, blk, p + 1, last - p)
+                    append(y)
+                t, f = e0 + q, feed
+                if q > last:
+                    self._start(t, self._next_block(t))
+        finally:
+            self._t = t0 + len(outs)
+        return outs
 
     def _push_batched(self, sample) -> np.ndarray:
         t = self._accept(sample)
@@ -451,13 +515,23 @@ class _BlockedEngine(OnlineConvEngine):
     def _start(self, t: int, slots: np.ndarray) -> None:
         # each step reads its own copy of the block: floats, or (B, S, F, G) rows
         self._e0 = t
-        self._slots = np.moveaxis(slots, -1, 0).copy() if self.shape else slots.tolist()
-        self._blk = self._buf[..., t:t + self._last + 1]
+        if self.shape:
+            self._slots[:slots.shape[-1]] = np.moveaxis(slots, -1, 0)
+        else:
+            self._slots = slots.tolist()
+        self._bind_block()
+
+    def _bind_block(self) -> None:
+        # the block's inputs: read by the step's ddot, written through a memoryview
+        self._blk = self._buf[..., self._e0:self._e0 + self._last + 1]
+        if not self.shape:
+            self._blkv = memoryview(self._blk)
 
     def _bind(self) -> None:
         super()._bind()
-        self._bufv = memoryview(self._buf)
-        self._blk = self._buf[..., self._e0:self._e0 + self._last + 1]
+        if not self.shape:
+            self.run = self._run_scalar
+        self._bind_block()
 
 
 class EpochedEngine(_BlockedEngine):

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import convolution as conv
-from .engines import CostMeter, OnlineConvEngine, make_engine
+from .engines import CostMeter, OnlineConvEngine, make_engine, push_loop
 from .errors import ConfigurationError
 from .signal import ArrayLike, Filter, Signal, as_filter, as_signal, finite_samples
 
@@ -100,12 +100,16 @@ def generate_scratch(
 
     u_1 is the seed; thereafter u_{t+1} = token_map(y_t) where
     y_t = [u*phi]_t is the engine's step output. ``length`` must not
-    exceed the filter's declared context length. An epoched engine
-    built here reads and fills the Filter's tap-spectra store (see
-    :class:`~streamconv.engines.EpochedEngine`); ``filter_spectra_elems``
-    is the store's size after the call, 0 for array taps, whose
-    throwaway store lives for the call alone. With ``length`` 0 and no
-    ``engine`` given, no engine is built and the meter is ``CostMeter()``.
+    exceed the filter's declared context length. The engine runs the
+    loop (its ``run``, or :func:`~streamconv.engines.push_loop` over the
+    ``push`` of an ``engine`` that has no ``run``), so ``token_map`` is
+    called ``length - 1`` times: the last output feeds nothing. An
+    epoched engine built here reads and fills the Filter's tap-spectra
+    store (see :class:`~streamconv.engines.EpochedEngine`);
+    ``filter_spectra_elems`` is the store's size after the call, 0 for
+    array taps, whose throwaway store lives for the call alone. With
+    ``length`` 0 and no ``engine`` given, no engine is built and the
+    meter is ``CostMeter()``.
     """
     store = phi._spectra if isinstance(phi, Filter) else None
     phi = as_filter(phi)
@@ -123,14 +127,11 @@ def generate_scratch(
             return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0,
                                     conv.spectra_floats(store))
         engine = make_engine(engine_kind, phi, length, epoch_len)
-    outs: list = []
-    append = outs.append
     token = float(seed_token)
-    push = engine.push
-    for _ in range(length):
-        y = push(token)
-        append(y)
-        token = tmap(y)
+    if hasattr(engine, "run"):
+        outs = engine.run(token, length, tmap)
+    else:
+        outs = push_loop(engine.push, token, length, tmap)
     meter = engine.meter
     return GenerationResult(
         outputs=Signal(np.array(outs, dtype=float)),
@@ -207,18 +208,17 @@ def generate_prompted(
     # array taps: the engine holds no spectra, so decode memory is its cache alone
     engine = make_engine(engine_kind, taps[:min(k, taps.size)], k, epoch_len)
 
-    # Python floats, not numpy scalars, on the per-token path
-    outs: list = []
-    append = outs.append
-    fed = 0.0
-    push = engine.push
-    for slot in cache.contributions.values.tolist():
-        y_hat = slot + fed
-        append(y_hat)
-        fed = push(tmap(y_hat))
+    # yhat_t = slot_t + fed_t, fed_t being the engine's output before
+    # token t (0.0 before the first); Python floats on the per-token path
+    slots = cache.contributions.values
+    first, *rest = slots.tolist()
+    nxt = iter(rest).__next__
+    ys = engine.run(tmap(first + 0.0), k, lambda y: tmap(nxt() + y))
+    fed = np.zeros(k)
+    fed[1:] = ys[:-1]
     meter = engine.meter
     return GenerationResult(
-        outputs=Signal(np.array(outs, dtype=float)),
+        outputs=Signal(slots + fed),
         meter=meter,
         prefill_transform_calls=cache.transform_calls,
         decode_peak_aux_elems=k + meter.peak_aux_elems,

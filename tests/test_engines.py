@@ -39,6 +39,80 @@ def assert_matches_oracle(engine, u, taps, tol_scale=1e-8):
     assert np.max(np.abs(got - ref)) <= tol if ref.size else True
 
 
+def push_run(eng, x, n, feed):
+    """``run``'s contract as a loop of ``push`` calls: its reference."""
+    outs = []
+    for i in range(n):
+        outs.append(eng.push(x))
+        if i < n - 1:
+            x = feed(outs[-1])
+    return outs
+
+
+def clamp(y):
+    return -1.0 if y < -1.0 else 1.0 if y > 1.0 else y
+
+
+def clamp_feed(seen):
+    """A closed-loop feed that records every output it is given."""
+    def feed(y):
+        seen.append(y)
+        return clamp(y)
+    return feed
+
+
+def samples_feed(xs):
+    """An open-loop feed: the next of ``xs``, whatever the output."""
+    rest = iter(xs)
+    return lambda y: next(rest)
+
+
+def assert_bitwise(got, want, msg=""):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), msg
+
+
+def check_run(make, u, split, msg):
+    """``run`` on engines from ``make()`` against a push loop over ``u``:
+    closed loop, n = 0, split across calls with a push between, after
+    ``reset``, and resumed by copies and pickles at ``split``."""
+    n = len(u)
+    ref, eng = make(), make()
+    want_seen, seen = [], []
+    want = push_run(ref, u[0], n, clamp_feed(want_seen))
+    got = eng.run(u[0], n, clamp_feed(seen))
+    assert_bitwise(got, want, msg)
+    assert_bitwise(seen, want_seen, msg)
+    assert len(seen) == n - 1 and eng.steps == n and eng.meter == ref.meter, msg
+
+    def never(y):
+        raise AssertionError("a run of 0 pushes called its feed")
+
+    assert eng.run(u[0], 0, never) == [] and eng.steps == n, msg
+    # open loop, split across two runs with a push between them
+    eng.reset()
+    assert eng.run(u[0], 0, never) == [] and eng.steps == 0, msg
+    parts = eng.run(u[0], split, samples_feed(u[1:]))
+    if split < n:
+        parts.append(eng.push(u[split]))
+        parts += eng.run(u[split + 1], n - split - 1, samples_feed(u[split + 2:])) \
+            if split + 1 < n else []
+    assert_bitwise(parts, make().push_many(u), msg)
+    # after reset, and from copies and pickles of a mid-block state
+    eng.reset()
+    assert_bitwise(eng.run(u[0], n, clamp_feed([])), got, msg)
+    eng.reset()
+    head = eng.run(u[0], split, clamp_feed([]))
+    forks = [copy.deepcopy(eng), pickle.loads(pickle.dumps(eng))]
+    x = clamp(got[split - 1]) if split else u[0]
+    tail = eng.run(x, n - split, clamp_feed([]))
+    assert_bitwise(head + tail, got, msg)
+    for fork in forks:
+        assert fork.run.__self__ is fork, msg
+        assert_bitwise(fork.run(x, n - split, clamp_feed([])), tail, msg)
+        assert fork.meter == eng.meter, msg
+
+
 class TestScheduleHelpers:
     def test_k_of_t_examples(self):
         assert k_of_t(12, 10) == 2  # 4 divides 12, 8 does not
@@ -463,6 +537,81 @@ class TestCrossEngine:
                 got = np.concatenate([head, eng.push_many(u[at:])])
                 np.testing.assert_array_equal(got, want, err_msg=kind)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_rejects_non_finite_feed_without_state_change(self, bad):
+        # the feed returns bad for the third sample, and for the last of
+        # an epoch and of a continuous block, whose push would start the
+        # next block
+        rng = np.random.default_rng(31)
+        u = rng.uniform(-1, 1, 200)
+        taps = rng.uniform(-1, 1, 200)
+        for kind in ENGINE_KINDS:
+            fresh = make_engine(kind, taps, 200)
+            want = fresh.push_many(u)
+            for at in (2, optimal_epoch_length(200) - 1, _BLOCK - 1):
+                eng = make_engine(kind, taps, 200)
+                seen = []
+
+                def feed(y):
+                    seen.append(y)
+                    return bad if len(seen) == at else u[len(seen)]
+
+                with pytest.raises(ValueError):
+                    eng.run(u[0], 200, feed)
+                assert eng.steps == at, kind
+                got = np.concatenate([seen, eng.push_many(u[at:])])
+                np.testing.assert_array_equal(got, want, err_msg=kind)
+                assert eng.meter == fresh.meter, kind
+
+    def test_run_keeps_the_pushes_before_a_raising_feed(self):
+        # the feed raises after the third push, and after the last push of
+        # an epoch and of a continuous block, whose boundary has run
+        rng = np.random.default_rng(33)
+        u = rng.uniform(-1, 1, 200)
+        taps = rng.uniform(-1, 1, 200)
+        for kind in ENGINE_KINDS:
+            fresh = make_engine(kind, taps, 200)
+            want = fresh.push_many(u)
+            for at in (3, optimal_epoch_length(200), _BLOCK):
+                eng = make_engine(kind, taps, 200)
+                seen = []
+
+                def feed(y):
+                    seen.append(y)
+                    if len(seen) == at:
+                        raise KeyError("stop")
+                    return u[len(seen)]
+
+                with pytest.raises(KeyError):
+                    eng.run(u[0], 200, feed)
+                assert eng.steps == at, kind
+                got = np.concatenate([seen, eng.push_many(u[at:])])
+                np.testing.assert_array_equal(got, want, err_msg=kind)
+                assert eng.meter == fresh.meter, kind
+
+    def test_run_past_horizon_changes_no_state(self):
+        rng = np.random.default_rng(37)
+        u = rng.uniform(-1, 1, 200)
+        taps = rng.uniform(-1, 1, 200)
+        for kind in ENGINE_KINDS:
+            want = make_engine(kind, taps, 200).push_many(u)
+            eng = make_engine(kind, taps, 200)
+            head = eng.push_many(u[:77])  # mid-epoch, mid-block
+            meter, cache = eng.meter, getattr(eng, "cache", None)
+            seen = []
+            with pytest.raises(HorizonError):
+                eng.run(u[77], 200 - 77 + 1, seen.append)
+            with pytest.raises(ValueError):
+                eng.run(u[77], -1, seen.append)
+            assert seen == [] and eng.steps == 77 and eng.meter == meter, kind
+            if cache is not None:
+                np.testing.assert_array_equal(eng.cache, cache)
+            got = np.concatenate([head, eng.push_many(u[77:])])
+            np.testing.assert_array_equal(got, want, err_msg=kind)
+            with pytest.raises(HorizonError):
+                eng.run(0.0, 1, seen.append)
+            assert eng.steps == 200 and seen == [], kind
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_push_many_equals_push_and_oracle(self, data):
@@ -476,11 +625,13 @@ class TestCrossEngine:
         ref = oracle(u, taps)
         tol = 1e-8 * (1.0 + np.max(np.abs(ref)))
         phi = Filter(taps, max(length, ntaps))
+        split = data.draw(st.integers(min_value=0, max_value=length), label="split")
         for kind in ENGINE_KINDS:
             batch = make_engine(kind, phi, length, epoch).push_many(u)
             eng = make_engine(kind, phi, length, epoch)
             np.testing.assert_array_equal(batch, [eng.push(x) for x in u], err_msg=kind)
             assert np.max(np.abs(batch - ref)) <= tol, kind
+            check_run(lambda: make_engine(kind, phi, length, epoch), u, split, kind)
 
     def test_exact_integer_oracle_at_benchmark_scale(self):
         # samples and taps in -8..8: every partial sum is an integer
@@ -676,6 +827,11 @@ class TestBatched:
             assert eng.steps == 0
             np.testing.assert_array_equal(eng.push_many(u), want, err_msg=kind)
             assert eng.meter == fresh.meter
+            # run: the generic loop over the batched push
+            eng.reset()
+            got = eng.run(u[0], at, samples_feed(u[1:at]))
+            np.testing.assert_array_equal(np.array(got).reshape(head.shape), head)
+            assert eng.steps == at and fresh.run.__self__ is fresh
 
     @pytest.mark.parametrize("kind", ["epoched", "continuous"])
     def test_state_holds_the_taps_once(self, kind):

@@ -24,6 +24,19 @@ from streamconv import (
 PLACE_VALUE_FILTER = [1.0, 10.0, 100.0, 1000.0]
 
 
+class PushOnly:
+    """An engine seen through ``push`` and ``meter`` alone, as a timing
+    proxy wraps one."""
+
+    def __init__(self, engine):
+        self.push = engine.push
+        self._engine = engine
+
+    @property
+    def meter(self):
+        return self._engine.meter
+
+
 class TestScratch:
     def test_copy_kernel_fixes_seed(self):
         result = generate_scratch(Filter([1.0], 16), 16, "naive", seed_token=3.0)
@@ -47,6 +60,16 @@ class TestScratch:
         scale = 1.0 + np.max(np.abs(outs["naive"]))
         assert np.max(np.abs(outs["epoched"] - outs["naive"])) <= 1e-8 * scale
         assert np.max(np.abs(outs["continuous"] - outs["naive"])) <= 1e-8 * scale
+
+    def test_push_only_engine_matches_the_engines_own_loop(self):
+        rng = np.random.default_rng(8)
+        phi = Filter(rng.uniform(-1, 1, 300), 300)
+        for kind in ENGINE_KINDS:
+            own = generate_scratch(phi, 300, kind, 0.7, clamp_token())
+            proxy = generate_scratch(phi, 300, kind, 0.7, clamp_token(),
+                                     engine=PushOnly(make_engine(kind, phi, 300)))
+            assert own.outputs.values.tobytes() == proxy.outputs.values.tobytes(), kind
+            assert own.meter == proxy.meter, kind
 
     def test_length_beyond_context_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -411,3 +434,29 @@ class TestTokenMaps:
         got = generate_prompted(p, taps, 32, "continuous", clamp).outputs.values
         tol = 1e-9 * (1.0 + np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= tol
+
+    def test_token_map_call_counts(self):
+        # scratch feeds every output but the last; prompted maps every
+        # yhat_t, the first before any push
+        rng = np.random.default_rng(21)
+        taps = rng.uniform(-1, 1, 140)
+        p = rng.uniform(-1, 1, 30)
+        clamp = clamp_token()
+        seen = []
+
+        def tmap(y):
+            seen.append(y)
+            return clamp(y)
+
+        for kind in ENGINE_KINDS:
+            for engine in (None, PushOnly(make_engine(kind, Filter(taps), 100))):
+                seen.clear()
+                out = generate_scratch(Filter(taps), 100, kind, 0.5, tmap,
+                                       engine=engine).outputs.values
+                assert len(seen) == 99 and seen == out[:-1].tolist(), kind
+            seen.clear()
+            out = generate_prompted(p, taps, 64, kind, tmap).outputs.values
+            assert len(seen) == 64 and seen == out.tolist(), kind
+            seen.clear()
+            assert len(generate_scratch(Filter(taps), 1, kind, 0.5, tmap)) == 1
+            assert seen == [], kind

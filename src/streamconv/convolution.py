@@ -69,6 +69,15 @@ _DIRECT_MACS_PER_POINT = 24
 _BLOCKED_POINTS_PER_OUTPUT = 4
 _BATCHED_POINTS_PER_OUTPUT = 2
 
+# A spectra store (see middle) holds at most this many geometries: one
+# per level a continuous engine transforms up to horizon 2**20 (m = 2**8
+# .. 2**19 with leading axes, 2**10 .. 2**19 without) and at most one
+# more per level for a window cut short by the horizon, 24 in all; one
+# per epoched rebuild transformed before the past holds a full block (at
+# most six) and one for the blocked ones; one for prefill. A level of m
+# holds 2m + 2 floats, so the levels up to horizon 2**16 take 1 MiB.
+_STORE_GEOMETRIES = 32
+
 _fast_conv_calls = 0
 
 _M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
@@ -147,17 +156,27 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int,
     1`` inputs, block ``j`` (newest first) against tap segment ``j``,
     the ``n`` taps of ``b`` from ``start - len(a) + 1 + j * block``.
 
-    ``spectra`` is a store of those tap segments' spectra, a list owned
-    by the caller and valid for this ``b`` only: a
-    :class:`~streamconv.signal.Filter` keeps one for its taps, which
-    prefill and the epoched engine's rebuilds pass. It holds one
-    geometry (first tap, block, ``n``) and its segments: a blocked call
-    with that geometry and no more segments reads them, and any other
-    blocked call transforms all of its segments and replaces the store.
-    That is ``(n + 2) / (n - count + 1)`` floats per tap the inputs
-    reach (1.33 for a one-row window at a power-of-two ``count``). A
-    stored array is never written and the store is replaced in one
-    step, so a store may be shared between threads. Without one every
+    ``spectra`` is a store of tap spectra, a list owned with ``b`` and
+    valid for it alone: a :class:`~streamconv.signal.Filter` keeps one
+    for its taps, which prefill and every one-row blocked engine over it
+    pass, and a blocked engine over array taps or batched rows keeps its
+    own. It is keyed by the geometry of the tap operand, ``(taps, first,
+    block, n)``: the spectra of the ``n``-point segments of ``b[...,
+    :taps]`` from tap ``first`` on, one every ``block`` taps. The
+    one-shot transform's operand is one segment, the taps the window can
+    read from tap 0 (a level window cut short by a horizon reads fewer
+    taps, so it keys a geometry of its own); the blocked path's are its
+    tap segments. A call whose geometry is stored with at least as many
+    segments reads them; any other transforms all of its segments and
+    writes them under its geometry, as the newest entry. Past
+    ``_STORE_GEOMETRIES`` geometries the one written longest ago is
+    dropped. A blocked entry holds ``(n + 2) / (n - count + 1)`` floats
+    per tap the inputs reach (1.33 for a one-row window at a
+    power-of-two ``count``), a one-shot one ``n + 2`` floats per row. A
+    stored array is never written and an entry is added or dropped in
+    one step (the list is replaced whole), so a store may be shared
+    between threads: a write lost to another thread's costs one
+    transform later, never a wrong result. Without a store every
     transform is computed afresh.
     """
     global _fast_conv_calls
@@ -186,7 +205,8 @@ def middle(a: np.ndarray, b: np.ndarray, start: int, count: int,
     if start >= la - 1 and la >= n_short - count + 1:  # one full block
         return _blocked_transform(a, b, spectra, start, count, n_short)
     n = next_pow2(n)
-    return _fft.irfft(_fft.rfft(a, n) * _fft.rfft(b[..., :lb], n), n)[..., start:end]
+    fb = _segment_spectra(b[..., :lb], spectra, 0, n, n, 1)[..., 0, :]
+    return _fft.irfft(_fft.rfft(a, n) * fb, n)[..., start:end]
 
 
 def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -248,18 +268,21 @@ def _segment_spectra(b: np.ndarray, store: list | None, first: int, block: int, 
     Segment ``j`` is the ``n`` taps of ``b`` from ``first + j*block``,
     zero past the end of ``b``; the result has shape ``b.shape[:-1] +
     (count, n // 2 + 1)``, or more segments when read from a ``store``
-    (an empty list, or one ``(geometry, spectra)`` pair, kept under
-    :func:`middle`'s store rule).
+    (a list of ``(geometry, spectra)`` pairs, the one written longest
+    ago first, kept under :func:`middle`'s store rule).
     """
-    key = (first, block, n)
-    entry = store[0] if store else None
-    if entry is not None and entry[0] == key and entry[1].shape[-2] >= count:
-        return entry[1]
+    key = (b.shape[-1], first, block, n)
+    if store:
+        for geometry, fb in store:
+            if geometry == key and fb.shape[-2] >= count:
+                return fb
     fb = np.empty(b.shape[:-1] + (count, n // 2 + 1), dtype=complex)
-    # segments that end inside b are strided views, transformed in one
-    # batch; rfft zero-pads the rest, one at a time
+    # two or more segments that end inside b are strided views,
+    # transformed in one batch; rfft zero-pads the rest, one at a time
     inside = max(0, min(count, (b.shape[-1] - first - n) // block + 1))
-    if inside:
+    if inside < 2:
+        inside = 0
+    else:
         segs = np.lib.stride_tricks.sliding_window_view(
             b[..., first:first + (inside - 1) * block + n], n, axis=-1)
         _fft.rfft(segs[..., ::block, :], n, axis=-1, out=fb[..., :inside, :])
@@ -267,13 +290,14 @@ def _segment_spectra(b: np.ndarray, store: list | None, first: int, block: int, 
         s = first + j * block
         _fft.rfft(b[..., s:s + n], n, out=fb[..., j, :])
     if store is not None:
-        store[:] = [(key, fb)]
+        kept = [entry for entry in store if entry[0] != key]
+        store[:] = kept[1 - _STORE_GEOMETRIES:] + [(key, fb)]
     return fb
 
 
 def spectra_floats(store: list | None) -> int:
     """Float elements a spectra store of :func:`middle` holds (0 for none)."""
-    return 2 * store[0][1].size if store else 0
+    return sum(2 * fb.size for _, fb in store) if store else 0
 
 
 def conv_causal_reference(u: ArrayLike, phi: Filter | ArrayLike) -> Signal:

@@ -427,15 +427,26 @@ class _BlockedEngine(OnlineConvEngine):
     the block's last step, ``_next_block(t)`` returns the cached slots
     t+1 .. t+B of the next one. The cache keeps its slots on the last
     axis, as ``middle`` writes them.
+
+    Both fill the cache through ``middle`` with a store of tap spectra,
+    owned with the taps under ``middle``'s store rule: a one-row engine
+    over a :class:`~streamconv.signal.Filter` passes the Filter's store,
+    so later engines and prefills over that Filter read what it
+    transformed, and an engine over array taps or batched rows keeps its
+    own, which ``reset`` keeps. The spectra are a function of the
+    filter, not of the stream: ``peak_aux_elems`` leaves them out, and
+    copies and pickles of the engine carry none.
     """
 
-    __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_blkv", "_rtaps_b")
+    __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_blkv", "_rtaps_b", "_spectra")
 
     _aliases = OnlineConvEngine._aliases + ("_blk", "_blkv")
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, block: int, cache_len: int,
                  sample_shape=None):
         super().__init__(phi, horizon, sample_shape)
+        # a Filter's store holds one row's spectra; batched rows would write another shape
+        self._spectra = phi._spectra if isinstance(phi, Filter) and not self.shape else []
         self._last = block - 1
         # r[x] = phi_{B-x} (1-based, zero past the stored taps): the
         # first tau inputs of the block against r[B-tau:] are the
@@ -456,6 +467,11 @@ class _BlockedEngine(OnlineConvEngine):
     def cache(self) -> np.ndarray:
         """Copy of the current cache (slot s at index s-1), each slot of ``shape``."""
         return self._to_user(np.moveaxis(self._cache, -1, 0)).copy()
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state["_spectra"] = []  # a copy carries no store
+        return state
 
     def reset(self) -> None:
         super().reset()
@@ -545,15 +561,9 @@ class EpochedEngine(_BlockedEngine):
     product. Only the slots a later push can read are filled: none at
     all for the rebuild at the horizon, which is still counted and
     charged.
-
-    The one engine that reads a :class:`~streamconv.signal.Filter`'s
-    tap-spectra store: over one Filter and scalar samples it passes the
-    store to every rebuild, under ``middle``'s store rule. The store is
-    the Filter's, not the stream's: ``peak_aux_elems`` leaves it out,
-    and copies and pickles of the engine do not share it.
     """
 
-    __slots__ = ("epoch_len", "_spectra")
+    __slots__ = ("epoch_len",)
 
     kind = "epoched"
 
@@ -566,13 +576,6 @@ class EpochedEngine(_BlockedEngine):
             raise ConfigurationError("epoch length must be >= 1")
         self.epoch_len = epoch_len
         super().__init__(phi, horizon, epoch_len, epoch_len, sample_shape)
-        # a Filter's store holds one row's spectra; batched rows would write another shape
-        self._spectra = phi._spectra if isinstance(phi, Filter) and not self.shape else None
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state["_spectra"] = None  # a copy shares no Filter's store
-        return state
 
     def _meter_one(self) -> CostMeter:
         t, k = self._t, self.epoch_len
@@ -596,7 +599,7 @@ class EpochedEngine(_BlockedEngine):
 
 
 # the continuous engine's block B; see ContinuousEngine for the choice
-_BLOCK = 64
+_BLOCK = 256
 
 
 class ContinuousEngine(_BlockedEngine):
@@ -609,22 +612,29 @@ class ContinuousEngine(_BlockedEngine):
     truncated.
 
     The schedule is tiled into the shared blocked step with a fixed
-    block B = 64: an (input i, output s) pair inside one block is
+    block B = 256: an (input i, output s) pair inside one block is
     served by the step's inner product, and the schedule runs only at
     multiples of B, where m >= B. Any other pair is covered by exactly
     one of those updates, the one at the multiple of B in [i, s) with
     the most trailing zeros. It runs at or before the boundary that
     opens s's block, so every slot is complete when its block starts,
     and no update touches an already-consumed slot. The cache therefore
-    holds the contributions of earlier blocks only.
+    holds the contributions of earlier blocks only. Each update passes
+    the engine's tap-spectra store (see :class:`_BlockedEngine`), so a
+    transformed level reads the spectrum of its taps instead of
+    transforming them again.
 
-    B is a constant, not a parameter. The levels below it (m = 1 .. 32,
-    on 63 steps in 64) become the step's inner product of at most 64
-    terms, which costs little more than the BLAS call itself, and each
-    level from 64 up is one middle product per boundary. On a 2-vCPU
-    Xeon, 32 ran 10-15% slower than 64 in bare push loops at horizons
-    2**10, 2**12 and 2**16, and 128 ran 1-4% faster on the generation
-    benchmark, inside the spread of its runs at 64.
+    B is a constant, not a parameter. The levels below it (m = 1 ..
+    128, on 255 steps in 256) become the step's inner product of at
+    most 256 terms, and the step's BLAS ``ddot`` costs about 200 ns
+    whether it sums 1 term or 256; each level from 256 up is one middle
+    product per boundary, 255 boundaries at horizon 2**16 instead of
+    1,023 at B = 64. On a 2-vCPU Xeon (one BLAS thread, warm Filter,
+    medians of 12 interleaved in-process rounds), a generation call at
+    2**16 took 40.3 ms at B = 64, 36.2 at 128, 34.8 at 256 and 34.4 at
+    512. In two such sets 256 was 10-14% faster than 64 at every horizon
+    from 2**12 to 2**18 and 512 within 2% of 256, so B is the smaller
+    of the two.
     """
 
     __slots__ = ("b",)
@@ -654,7 +664,7 @@ class ContinuousEngine(_BlockedEngine):
         n = min(m, self.horizon - t)
         if n > 0:
             ahead = self._cache[..., t:t + n]
-            ahead += middle(self._past[..., t - m:t], self._mtaps, m, n)
+            ahead += middle(self._past[..., t - m:t], self._mtaps, m, n, self._spectra)
         return self._cache[..., t:t + _BLOCK]
 
 

@@ -104,23 +104,25 @@ def generate_scratch(
     loop (its ``run``, or :func:`~streamconv.engines.push_loop` over the
     ``push`` of an ``engine`` that has no ``run``), so ``token_map`` is
     called ``length - 1`` times: the last output feeds nothing. An
-    epoched engine built here reads and fills the Filter's tap-spectra
-    store (see :class:`~streamconv.engines.EpochedEngine`);
-    ``filter_spectra_elems`` is the store's size after the call, 0 for
-    array taps, whose throwaway store lives for the call alone. With
-    ``length`` 0 and no ``engine`` given, no engine is built and the
-    meter is ``CostMeter()``.
+    epoched or continuous engine built here over a :class:`Filter` reads
+    and fills the Filter's tap-spectra store, under
+    :func:`~streamconv.convolution.middle`'s store rule;
+    ``filter_spectra_elems`` is that store's size after the call. One
+    over array taps keeps its own store, which lives for the call alone
+    and is not reported (0). With ``length`` 0 and no ``engine`` given,
+    no engine is built and the meter is ``CostMeter()``.
     """
-    store = phi._spectra if isinstance(phi, Filter) else None
-    phi = as_filter(phi)
+    if isinstance(phi, Filter):
+        context, store = phi.context_length, phi._spectra
+    else:
+        phi = finite_samples(phi)
+        context, store = max(1, phi.size), None
     length = int(length)
     if length < 0:
         raise ConfigurationError("generation length must be >= 0")
-    if length > phi.context_length:
+    if length > context:
         raise ConfigurationError(
-            f"generation length {length} exceeds filter context length "
-            f"{phi.context_length}"
-        )
+            f"generation length {length} exceeds filter context length {context}")
     tmap = token_map or identity_token
     if engine is None:
         if length == 0:

@@ -98,8 +98,8 @@ class Filter:
     beyond the stored taps return zero (the kernel is implicitly
     zero-padded to any length an operation requires).
 
-    A Filter also keeps a store of its tap segments' spectra, which
-    prefill and the epoched engine's cache rebuilds pass to
+    A Filter also keeps a store of its taps' spectra, which prefill and
+    the one-row epoched and continuous engines over it pass to
     ``convolution.middle`` (whose docstring states the store rule), so
     that later calls through it do not transform the taps again. They
     are derived from the taps alone and are not part of the value:

@@ -23,6 +23,7 @@ from scipy.integrate import quad
 
 from . import convolution as conv
 from .engines import (
+    _BLOCK,
     ContinuousEngine,
     EpochedEngine,
     NaiveEngine,
@@ -122,9 +123,12 @@ def _oracle_outputs(u: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
     """All engines vs the direct-summation oracle.
 
-    At the largest length the epoched engine also runs twice through
-    one :class:`Filter` at K = L / 8, whose rebuilds from t = 4K on (at
-    L = 4096) read the tap spectra that earlier rebuilds stored.
+    At the largest length the epoched engine at K = L / 8 and the
+    continuous engine also run twice through one :class:`Filter`, whose
+    store serves both: in the first run, the epoched rebuilds from t =
+    4K on (at L = 4096) and the continuous level updates read tap
+    spectra that earlier calls stored; in the second, every transformed
+    call reads them.
     """
     rng = _rng(seed, 3)
 
@@ -160,13 +164,19 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
     # the last instance, at the largest length, through one Filter
     phi = Filter(taps, length)
     for call in range(2):
-        check(u, taps, [EpochedEngine(phi, length, max(1, length // 8))], "Filter", call=call)
+        engines = [EpochedEngine(phi, length, max(1, length // 8)), ContinuousEngine(phi, length)]
+        check(u, taps, engines, "Filter", call=call)
 
 
 def suite_cache_lemma(res: SuiteResult, seed: int, max_l: int) -> None:
-    """No cache slot changes after the step that consumed it."""
+    """No cache slot changes after the step that consumed it.
+
+    Every length crosses at least three block boundaries of the
+    continuous engine, whatever ``max_l``; one of them is not a power
+    of two.
+    """
     rng = _rng(seed, 4)
-    for length in (64, 100, 256, min(512, max_l)):
+    for length in (3 * _BLOCK + 5, 4 * _BLOCK, 5 * _BLOCK + 3):
         u = rng.uniform(-1, 1, length)
         taps = rng.uniform(-1, 1, length)
         eng = ContinuousEngine(taps, length)

@@ -42,6 +42,19 @@ def forward_rows(monkeypatch):
 
 
 @pytest.fixture
+def stale_store_reads(monkeypatch):
+    """Call it to have every read from a tap-spectra store return zeros."""
+    real = conv._segment_spectra
+
+    def stale(b, store, *geometry):
+        before = list(store or ())
+        fb = real(b, store, *geometry)
+        return fb * 0.0 if any(fb is entry for _, entry in before) else fb
+
+    return lambda: monkeypatch.setattr(conv, "_segment_spectra", stale)
+
+
+@pytest.fixture
 def epoch_default_3(monkeypatch):
     """The epoched engine's default K moved to 3, in every module that reads it."""
     from streamconv import bench, engines, verify

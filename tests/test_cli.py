@@ -74,11 +74,14 @@ class TestGen:
         assert meta["filter_spectra_elems"] == 2 * 5 * 1025
 
     @pytest.mark.parametrize("engine, elems", [
-        # K = 512 over 4096 steps: the rebuilds from t = 2048 take blocks of
-        # 1537 inputs, the last full one (t = 3584) against three 2048-tap
-        # segments whose spectra are 1025 complex values each
-        ("epoched", 2 * 3 * 1025),
-        ("continuous", 0),  # no rebuild reads the store
+        # K = 512 over 4096 steps: the rebuilds at t = 1024 and 1536 take
+        # one 2048-point transform of 1536 and 2048 taps, and those from
+        # t = 2048 blocks of 1537 inputs, the last full one (t = 3584)
+        # against three 2048-tap segments; each spectrum is 1025 complex
+        # values
+        ("epoched", 2 * (1 + 1 + 3) * 1025),
+        # levels 1024 and 2048: the first 2m taps in one 2m-point transform
+        ("continuous", 2 * (1025 + 2049)),
     ])
     def test_scratch_sidecar_counts_filter_spectra(self, tmp_path, engine, elems):
         out = tmp_path / "gen.txt"

@@ -319,14 +319,35 @@ class TestMiddle:
                 row, np.correlate(taps[0, i, 0, 1:t + count], u[0, 0, c, ::-1]))
         assert len(calls) == 1  # none of the one-row calls was blocked
 
+    def test_store_keeps_its_newest_geometries(self):
+        # one-shot windows of the full product of 2048 inputs and 2048
+        # taps: window k reads the first k of each, the taps in a geometry
+        # of their own
+        rng = np.random.default_rng(31)
+        a, b = rng.uniform(-1, 1, 2048), rng.uniform(-1, 1, 2048)
+        full = np.convolve(a, b)
+        store, bound = [], conv._STORE_GEOMETRIES
+        for count in range(1100, 1100 + bound + 8):
+            got = middle(a, b, 0, count, store)
+            np.testing.assert_allclose(got, full[:count], rtol=0, atol=1e-10)
+            # the newest geometries, oldest first, never more than the bound
+            kept = range(max(1100, count + 1 - bound), count + 1)
+            assert [key for key, _ in store] == [(k, 0, 4096, 4096) for k in kept]
+        # a stored geometry is read: its entry is not written again
+        entries = [fb for _, fb in store]
+        middle(a, b, 0, count - bound + 1, store)
+        assert [fb for _, fb in store] == entries
+
     def test_one_row_levels_switch_to_the_transform_at_1024(self, monkeypatch):
         # a continuous engine at horizon 2**12: level m is a window of m
-        # inputs and m outputs, at every multiple of 64 with lowest set bit m
+        # inputs and m outputs, at every multiple of the block B with
+        # lowest set bit m; the levels from B to 512 are summed directly
         paths = record_paths(monkeypatch, engines_module)
         rng = np.random.default_rng(47)
         engine = make_engine("continuous", rng.uniform(-1, 1, 1 << 12), 1 << 12)
         engine.push_many(rng.uniform(-1, 1, 1 << 12))
-        assert {m for path, m in paths if path == "direct"} == {64, 128, 256, 512}
+        direct = {1 << k for k in range(engines_module._BLOCK.bit_length() - 1, 10)}
+        assert direct and {m for path, m in paths if path == "direct"} == direct
         assert sorted(m for path, m in paths if path != "direct") == [1024, 1024, 2048]
         assert {path for path, m in paths if m >= 1024} == {"transform"}
 

@@ -39,6 +39,31 @@ def assert_matches_oracle(engine, u, taps, tol_scale=1e-8):
     assert np.max(np.abs(got - ref)) <= tol if ref.size else True
 
 
+def integer_case(rng, length, channels=(), filters=()):
+    """Samples (length, *channels) and taps (*filters, length) in -8..8."""
+    u = rng.integers(-8, 9, (length,) + channels).astype(float)
+    return u, rng.integers(-8, 9, filters + (length,)).astype(float)
+
+
+def rounded_oracle(u, taps):
+    """The exact causal convolution of integer samples and taps, with
+    the bound on each cell's error that a fast engine must meet.
+
+    Samples and taps in -8..8: the full product in one float64
+    transform errs by about log2 L eps |u|_1 |phi|_inf, far below 0.5,
+    so rounding it gives the exact integer convolution. Leading axes
+    broadcast; the last one is time.
+    """
+    length = u.shape[-1]
+    n = next_pow2(2 * length - 1)
+    raw = np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(taps, n), n)[..., :length]
+    bound = (max(1.0, np.log2(length)) * np.finfo(float).eps
+             * np.sum(np.abs(u), axis=-1, keepdims=True)
+             * np.max(np.abs(taps), axis=-1, keepdims=True))
+    assert np.all(np.abs(raw - np.rint(raw)) <= bound) and np.all(bound < 0.5)
+    return np.rint(raw), bound
+
+
 def push_run(eng, x, n, feed):
     """``run``'s contract as a loop of ``push`` calls: its reference."""
     outs = []
@@ -250,15 +275,18 @@ class TestEpochedFilterSpectra:
         first, rows_first = forward_rows(self.run, phi, u)
         second, rows_second = forward_rows(self.run, phi, u)
         past = 2 * 2 + sum(self.segments(t) for t in self.BLOCKED)
-        assert rows_array == past + sum(self.segments(t) for t in self.BLOCKED)
-        # the first engine through the Filter transforms every segment
-        # again where their count grows, and reads them elsewhere
+        # the first engine, through the Filter or over array taps (its own
+        # store), transforms every segment again where their count grows,
+        # and reads them elsewhere
         grown = [t for t in self.BLOCKED if self.segments(t) > self.segments(t - self.K)]
-        assert rows_first == past + sum(self.segments(t) for t in grown)
-        assert rows_second == past  # the past's blocks only
+        assert rows_array == rows_first == past + sum(self.segments(t) for t in grown)
+        # the past's blocks only: the taps of the one-shot rebuilds at
+        # t = 1024 and 1536 are read from the store as well
+        assert rows_second == past - 2
         np.testing.assert_array_equal(first, want)
         np.testing.assert_array_equal(second, want)
-        assert phi._spectra[0][1].shape == (self.segments(self.BLOCKED[-1]), 1025)
+        blocked = [fb for key, fb in phi._spectra if key[2] == self.BLOCK]  # (taps, first, block, n)
+        assert [fb.shape for fb in blocked] == [(self.segments(self.BLOCKED[-1]), 1025)]
 
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda eng: pickle.loads(pickle.dumps(eng))])
@@ -271,7 +299,7 @@ class TestEpochedFilterSpectra:
         np.testing.assert_array_equal(eng.push_many(u[:cut]), plain.push_many(u[:cut]))
         assert len(pickle.dumps(eng)) == len(pickle.dumps(plain))
         fork = clone(eng)
-        assert fork._spectra is None and eng._spectra is phi._spectra
+        assert fork._spectra == [] and eng._spectra is phi._spectra
         tail = plain.push_many(u[cut:])
         np.testing.assert_array_equal(fork.push_many(u[cut:]), tail)
         np.testing.assert_array_equal(eng.push_many(u[cut:]), tail)
@@ -279,7 +307,7 @@ class TestEpochedFilterSpectra:
 
     def test_batched_engine_leaves_the_store_alone(self):
         # a Filter's store holds one row's spectra; an engine over
-        # channels has rows of its own and transforms the taps afresh
+        # channels has rows of its own and keeps a store of its own
         u, taps = self.inputs(64)
         phi = Filter(taps)
         channels = np.stack([u, -u], axis=1)
@@ -288,26 +316,23 @@ class TestEpochedFilterSpectra:
         want = EpochedEngine(taps[None], self.L, self.K, sample_shape=(2,)).push_many(channels)
         np.testing.assert_array_equal(got, want)
 
-    def test_verify_covers_the_reused_path(self, monkeypatch):
-        from streamconv import convolution as conv
+    def test_verify_covers_the_reused_path(self, stale_store_reads):
         from streamconv.verify import SuiteResult, suite_oracle_equivalence
 
         res = SuiteResult("oracle_equivalence")
         suite_oracle_equivalence(res, 3, 4096)
         assert res.passed
-        real = conv._segment_spectra
-
-        def stale(b, store, *geometry):  # a store read returns zeros
-            scale = 0.0 if store else 1.0
-            return real(b, store, *geometry) * scale
-
-        monkeypatch.setattr(conv, "_segment_spectra", stale)
+        stale_store_reads()
         res = SuiteResult("oracle_equivalence")
         suite_oracle_equivalence(res, 3, 4096)
         assert not res.passed
-        # both runs through the Filter have rebuilds that read the store
-        assert {(f["tag"], f["engine"], f["L"], f["call"]) for f in res.failures} == {
-            ("Filter", "epoched", 4096, 0), ("Filter", "epoched", 4096, 1)}
+        # both runs through the Filter read the store, and so does the
+        # continuous engine over array taps at L = 4096 (level 1024 again
+        # at t = 3072); no epoched rebuild at its default K is transformed
+        assert {(f["tag"], f["engine"], f["L"], f.get("call")) for f in res.failures} == {
+            ("random", "continuous", 4096, None),
+            ("Filter", "epoched", 4096, 0), ("Filter", "epoched", 4096, 1),
+            ("Filter", "continuous", 4096, 0), ("Filter", "continuous", 4096, 1)}
 
     def test_filter_shared_across_threads(self):
         # four threads over two cores, switching often, each pushing its
@@ -343,9 +368,12 @@ class TestEpochedFilterSpectra:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(phi._spectra) == 1
+        # K = 512: one-shot rebuilds at t = 1024 and 1536, then blocked
+        # ones; K = 1024: one-shot at 1024 (K = 512's geometry at 1536),
+        # 2048 and 3072, then blocked ones
+        assert len(phi._spectra) == 3 + 3
 
-    @pytest.mark.parametrize("kind", ["naive", "continuous"])
+    @pytest.mark.parametrize("kind", ["naive"])
     def test_other_engines_hold_no_store(self, kind):
         u, taps = self.inputs(65)
         phi = Filter(taps[:4096])
@@ -524,12 +552,13 @@ class TestCrossEngine:
         # the third sample, and the last of an epoch and of a continuous
         # block, whose push would start the next block
         rng = np.random.default_rng(29)
-        u = rng.uniform(-1, 1, 200)
-        taps = rng.uniform(-1, 1, 200)
+        length = 3 * _BLOCK + 8  # three continuous blocks and a part
+        u = rng.uniform(-1, 1, length)
+        taps = rng.uniform(-1, 1, length)
         for kind in ENGINE_KINDS:
-            want = make_engine(kind, taps, 200).push_many(u)
-            for at in (2, optimal_epoch_length(200) - 1, _BLOCK - 1):
-                eng = make_engine(kind, taps, 200)
+            want = make_engine(kind, taps, length).push_many(u)
+            for at in (2, optimal_epoch_length(length) - 1, _BLOCK - 1):
+                eng = make_engine(kind, taps, length)
                 head = eng.push_many(u[:at])
                 with pytest.raises(ValueError):
                     eng.push(bad)
@@ -543,13 +572,14 @@ class TestCrossEngine:
         # an epoch and of a continuous block, whose push would start the
         # next block
         rng = np.random.default_rng(31)
-        u = rng.uniform(-1, 1, 200)
-        taps = rng.uniform(-1, 1, 200)
+        length = 3 * _BLOCK + 8  # three continuous blocks and a part
+        u = rng.uniform(-1, 1, length)
+        taps = rng.uniform(-1, 1, length)
         for kind in ENGINE_KINDS:
-            fresh = make_engine(kind, taps, 200)
+            fresh = make_engine(kind, taps, length)
             want = fresh.push_many(u)
-            for at in (2, optimal_epoch_length(200) - 1, _BLOCK - 1):
-                eng = make_engine(kind, taps, 200)
+            for at in (2, optimal_epoch_length(length) - 1, _BLOCK - 1):
+                eng = make_engine(kind, taps, length)
                 seen = []
 
                 def feed(y):
@@ -557,7 +587,7 @@ class TestCrossEngine:
                     return bad if len(seen) == at else u[len(seen)]
 
                 with pytest.raises(ValueError):
-                    eng.run(u[0], 200, feed)
+                    eng.run(u[0], length, feed)
                 assert eng.steps == at, kind
                 got = np.concatenate([seen, eng.push_many(u[at:])])
                 np.testing.assert_array_equal(got, want, err_msg=kind)
@@ -567,13 +597,14 @@ class TestCrossEngine:
         # the feed raises after the third push, and after the last push of
         # an epoch and of a continuous block, whose boundary has run
         rng = np.random.default_rng(33)
-        u = rng.uniform(-1, 1, 200)
-        taps = rng.uniform(-1, 1, 200)
+        length = 3 * _BLOCK + 8  # three continuous blocks and a part
+        u = rng.uniform(-1, 1, length)
+        taps = rng.uniform(-1, 1, length)
         for kind in ENGINE_KINDS:
-            fresh = make_engine(kind, taps, 200)
+            fresh = make_engine(kind, taps, length)
             want = fresh.push_many(u)
-            for at in (3, optimal_epoch_length(200), _BLOCK):
-                eng = make_engine(kind, taps, 200)
+            for at in (3, optimal_epoch_length(length), _BLOCK):
+                eng = make_engine(kind, taps, length)
                 seen = []
 
                 def feed(y):
@@ -583,7 +614,7 @@ class TestCrossEngine:
                     return u[len(seen)]
 
                 with pytest.raises(KeyError):
-                    eng.run(u[0], 200, feed)
+                    eng.run(u[0], length, feed)
                 assert eng.steps == at, kind
                 got = np.concatenate([seen, eng.push_many(u[at:])])
                 np.testing.assert_array_equal(got, want, err_msg=kind)
@@ -650,36 +681,50 @@ class TestCrossEngine:
         # segment from the store the first run filled
         phi = Filter(taps)
         first = EpochedEngine(phi, length).push_many(u)
-        stored = phi._spectra[0]
+        stored = list(phi._spectra)
         second = EpochedEngine(phi, length).push_many(u)
-        assert len(phi._spectra) == 1 and phi._spectra[0] is stored
+        assert len(stored) == 4  # three one-shot rebuilds, then the blocked ones
+        assert all(x is y for x, y in zip(phi._spectra, stored, strict=True))
         for out in (first, second):
             err = np.max(np.abs(out - exact))
             assert err <= bound, (err, bound)
 
     def test_exact_integer_oracle_at_2_18(self):
-        # samples and taps in -8..8: the full product in one float64
-        # transform errs by about log2 L eps |u|_1 |phi|_inf, far below
-        # 0.5, so rounding it gives the exact integer convolution
         rng = np.random.default_rng(47)
-
-        def case(length):
-            u = rng.integers(-8, 9, length).astype(float)
-            taps = rng.integers(-8, 9, length).astype(float)
-            n = next_pow2(2 * length - 1)
-            raw = np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(taps, n), n)[:length]
-            bound = (np.log2(length) * np.finfo(float).eps
-                     * np.sum(np.abs(u)) * np.max(np.abs(taps)))
-            assert np.max(np.abs(raw - np.rint(raw))) <= bound < 0.5
-            return u, taps, np.rint(raw), bound
-
-        u, taps, exact, _ = case(1 << 12)
+        u, taps = integer_case(rng, 1 << 12)
+        exact, _ = rounded_oracle(u, taps)
         np.testing.assert_array_equal(exact, np.convolve(u, taps)[:1 << 12])
         length = 1 << 18
-        u, taps, exact, bound = case(length)
+        u, taps = integer_case(rng, length)
+        exact, bound = rounded_oracle(u, taps)
         for kind in ("epoched", "continuous"):
             err = np.max(np.abs(make_engine(kind, taps, length).push_many(u) - exact))
             assert err <= bound, (kind, err, bound)
+
+    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5,
+                                        16_000])
+    def test_continuous_exact_at_its_tiling(self, length):
+        # around the block B and near 2**14 but not a power of two: one
+        # filter, twice through one Filter (the second run reads every
+        # level spectrum the first stored), and the stu-online shape, 16
+        # filters over 8 channels, against the rounded-transform oracle
+        rng = np.random.default_rng(length)
+        u, taps = integer_case(rng, length)
+        exact, bound = rounded_oracle(u, taps)
+        phi = Filter(taps)
+        runs = [ContinuousEngine(src, length).push_many(u) for src in (taps, phi, phi)]
+        for got in runs:
+            assert np.max(np.abs(got - exact)) <= bound
+        assert_bitwise(runs[2], runs[1])
+        if length == 16_000:
+            # level 1024 at t = 15360 is cut short to 640 outputs, so it
+            # reads 1664 taps where the full windows read 2048
+            keys = {key for key, _ in phi._spectra}
+            assert {(2048, 0, 2048, 2048), (1664, 0, 2048, 2048)} <= keys
+        u, taps = integer_case(rng, length, (8,), (16, 1))
+        exact, bound = rounded_oracle(u.T, taps)
+        got = ContinuousEngine(taps, length, sample_shape=(8,)).push_many(u)
+        assert np.all(np.abs(np.moveaxis(got, 0, -1) - exact) <= bound)
 
     def test_exact_integer_oracle_batched_at_stu_scale(self):
         # the stu-online shape: 16 integer filters over 8 integer channels
@@ -835,9 +880,10 @@ class TestBatched:
 
     @pytest.mark.parametrize("kind", ["epoched", "continuous"])
     def test_state_holds_the_taps_once(self, kind):
-        # the stu-online layout: 4 filters over 3 channels
-        taps = np.random.default_rng(71).uniform(-1, 1, (4, 1, 256))
-        eng = make_engine(kind, taps, 256, sample_shape=(3,))
+        # the stu-online layout: 4 filters over 3 channels, more taps than
+        # a continuous block holds (its reversed block taps are no copy)
+        taps = np.random.default_rng(71).uniform(-1, 1, (4, 1, 2 * _BLOCK))
+        eng = make_engine(kind, taps, 2 * _BLOCK, sample_shape=(3,))
         want = np.sort(taps, axis=None)
         state = eng.__getstate__()  # what a pickle or a copy writes
         copies = [name for name, v in state.items() if isinstance(v, np.ndarray)

@@ -217,10 +217,12 @@ class TestPrompted:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
-    def test_decode_engine_keeps_no_tap_spectra(self, monkeypatch):
-        # the decode engine lives for one call, so spectra stored for its
-        # rebuilds (blocked from t = 4096 at K = 1024) would be decode
-        # memory that decode_peak_aux_elems does not count
+    def test_decode_engine_keeps_its_own_tap_spectra(self, monkeypatch):
+        # the decode engine runs over the first K taps as an array, so its
+        # rebuilds (blocked from t = 4096 at K = 1024) keep their spectra
+        # in its own store, which lives for the call: they are a function
+        # of the filter, so decode_peak_aux_elems leaves them out, and not
+        # the Filter's, so filter_spectra_elems does too
         from streamconv import generate as generate_module
 
         engines = []
@@ -235,7 +237,8 @@ class TestPrompted:
         phi = Filter(rng.uniform(-1, 1, 100 + k))
         result = generate_prompted(rng.uniform(-1, 1, 100), phi, k, "epoched",
                                    clamp_token(), 1024)
-        assert engines[0]._spectra is None and result.filter_spectra_elems == 0
+        assert engines[0]._spectra and engines[0]._spectra is not phi._spectra
+        assert result.filter_spectra_elems == 0 and phi._spectra == []  # prefill summed directly
         assert result.decode_peak_aux_elems == k + 1024
 
     def test_decode_memory_independent_of_prompt(self):
@@ -301,10 +304,14 @@ class TestFilterSpectra:
         assert rows == self.blocks(4000) and cache.filter_spectra_elems == self.elems(9000)
         want = prefill(short, taps, self.K).contributions.values
         assert np.max(np.abs(cache.contributions.values - want)) <= 1e-12 * np.max(np.abs(want))
-        # budget 1024: 4096-point transforms over blocks of 3073 samples
+        # budget 1024: 4096-point transforms over blocks of 3073 samples,
+        # a second geometry beside budget 512's, which stays
         cache, rows = self.counted_prefill(forward_rows, long, phi, 1024)
-        assert rows == 2 * 3 and cache.filter_spectra_elems == 2 * 3 * 2049
-        assert len(phi._spectra) == 1  # one geometry per Filter
+        assert rows == 2 * 3
+        assert cache.filter_spectra_elems == self.elems(9000) + 2 * 3 * 2049
+        assert len(phi._spectra) == 2
+        cache, rows = self.counted_prefill(forward_rows, long, phi)
+        assert rows == self.blocks(9000) and len(phi._spectra) == 2
 
     def test_array_taps_leave_no_state(self, forward_rows):
         rng = np.random.default_rng(53)
@@ -362,10 +369,10 @@ class TestFilterSpectra:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(phi._spectra) == 1
+        assert len(phi._spectra) == 2  # one geometry per budget
 
     def test_scratch_reports_only_a_filters_store(self):
-        # array taps get a throwaway Filter for the call; its store is not reported
+        # an engine over array taps keeps its own store for the call, not reported
         taps = np.random.default_rng(67).uniform(-1, 1, 1 << 14)
         phi = Filter(taps)
         plain = generate_scratch(taps, taps.size, "epoched", 0.5, clamp_token())
@@ -374,27 +381,21 @@ class TestFilterSpectra:
         assert held.filter_spectra_elems == conv.spectra_floats(phi._spectra) > 0
         assert plain.outputs == held.outputs
 
-    def test_verify_covers_the_reused_path(self, monkeypatch):
+    def test_verify_covers_the_reused_path(self, stale_store_reads):
         from streamconv.verify import SuiteResult, suite_prompted_oracle
 
         res = SuiteResult("prompted_oracle")
         suite_prompted_oracle(res, 3, 4096)
         assert res.passed
-        real = conv._segment_spectra
-
-        def stale(b, store, *geometry):  # a store read returns zeros
-            scale = 0.0 if store else 1.0
-            return real(b, store, *geometry) * scale
-
-        monkeypatch.setattr(conv, "_segment_spectra", stale)
+        stale_store_reads()
         res = SuiteResult("prompted_oracle")
         suite_prompted_oracle(res, 3, 4096)
         assert not res.passed
-        # every call after the first through the K = 512 case's Filter reads the store
+        # the K = 512 case's Filter: each prompt's first prefill (naive)
+        # transforms the tap segments, and the other two read them
         assert {(f["through"], f["K"], f["call"], f["engine"]) for f in res.failures} == {
             ("Filter", 512, 0, "epoched"), ("Filter", 512, 0, "continuous"),
-            ("Filter", 512, 1, "naive"), ("Filter", 512, 1, "epoched"),
-            ("Filter", 512, 1, "continuous")}
+            ("Filter", 512, 1, "epoched"), ("Filter", 512, 1, "continuous")}
 
     def test_reused_filter_at_prompt_long_size_matches_dot_products(self):
         # the benchmark's prompt-long shape: 2**18 prompt samples, K = 2**12
@@ -412,6 +413,74 @@ class TestFilterSpectra:
             # slot q reads taps q .. q + p_len - 1 against the reversed prompt
             want = float(np.dot(prompt[::-1], taps[q:q + p_len]))
             assert abs(got[q] - want) <= 1e-12 * abs(want), q
+
+
+class TestFilterStore:
+    """One Filter's store serving prefill and both blocked engines."""
+
+    # 2**13 taps; budget and epoch K = 512, so prefill's blocks and the
+    # epoched engine's from t = 2048 hold 2048 - 512 + 1 = 1537 inputs
+    L, K, P, BLOCK = 1 << 13, 512, 7000, 1537
+
+    def test_second_call_of_each_transforms_no_tap_segment(self, forward_rows,
+                                                          monkeypatch):
+        rng = np.random.default_rng(58)
+        taps = rng.uniform(-1, 1, self.L)
+        taps /= np.linalg.norm(taps)
+        prompt = rng.uniform(-1, 1, self.P)
+        phi = Filter(taps)
+
+        def blocks(t):
+            return -(-t // self.BLOCK)
+
+        calls = [
+            lambda: prefill(prompt, phi, self.K).contributions.values,
+            lambda: generate_scratch(phi, self.L, "epoched", 0.5, clamp_token(),
+                                     self.K).outputs.values,
+            lambda: generate_scratch(phi, self.L, "continuous", 0.5,
+                                     clamp_token()).outputs.values,
+        ]
+        # the rows of each call's inputs alone: the prompt's blocks; the
+        # epoched past at t = 1024 and 1536, then its blocks from t = 2048;
+        # one row per continuous level update from m = 1024 (t = 1024,
+        # 2048, ..., 7168)
+        inputs = [blocks(self.P), 2 + sum(blocks(t) for t in range(2048, self.L, self.K)), 7]
+        firsts = [forward_rows(call) for call in calls]
+        seconds = [forward_rows(call) for call in calls]
+        stored = list(phi._spectra)
+        real = conv._segment_spectra
+        monkeypatch.setattr(conv, "_segment_spectra",
+                            lambda b, store, *geometry: real(b, None, *geometry))
+        free = [forward_rows(call) for call in calls]
+        for (first, _), (second, rows), (want, rows_free), n in zip(firsts, seconds, free,
+                                                                    inputs):
+            assert rows == n < rows_free
+            assert first.tobytes() == second.tobytes() == want.tobytes()
+        # prefill's geometry, the epoched engine's (two one-shot, one
+        # blocked) and the continuous levels 2048 and 4096 (level 1024
+        # reads the epoched rebuild's at t = 1536: the same 2048 taps)
+        assert len(stored) == 1 + 3 + 2 <= conv._STORE_GEOMETRIES
+        assert all(x is y for x, y in zip(phi._spectra, stored, strict=True))
+
+    @pytest.mark.parametrize("kind", ["epoched", "continuous"])
+    @pytest.mark.parametrize("lead, sample", [((), None), ((2, 1), (3,))],
+                             ids=["array", "batched"])
+    def test_own_store_survives_reset(self, forward_rows, kind, lead, sample):
+        # an engine over array taps or batched rows keeps its own store
+        # through reset, so a replay writes no entry of it again: every
+        # tap spectrum is read, and only the inputs are transformed
+        rng = np.random.default_rng(66)
+        length = 1 << 12
+        taps = rng.uniform(-1, 1, lead + (length,))
+        u = rng.uniform(-1, 1, (length,) + (sample or ()))
+        eng = make_engine(kind, taps, length, self.K, sample)
+        first, rows_first = forward_rows(eng.push_many, u)
+        store = list(eng._spectra)
+        eng.reset()
+        second, rows_second = forward_rows(eng.push_many, u)
+        assert store and all(x is y for x, y in zip(eng._spectra, store, strict=True))
+        assert rows_second < rows_first
+        assert second.tobytes() == first.tobytes()
 
 
 class TestTokenMaps:

@@ -462,6 +462,53 @@ class TestFilterStore:
         assert len(stored) == 1 + 3 + 2 <= conv._STORE_GEOMETRIES
         assert all(x is y for x, y in zip(phi._spectra, stored, strict=True))
 
+    def test_filter_shared_across_threads(self, monkeypatch):
+        # four threads over two cores, switching often, run prefill and
+        # both blocked engines through one Filter, at horizons that cut
+        # levels short, with the store's bound lowered to 4 so geometries
+        # are added and dropped under them: every output must equal the
+        # array-taps one bitwise, and the store never hold more than 4
+        monkeypatch.setattr(conv, "_STORE_GEOMETRIES", 4)
+        rng = np.random.default_rng(59)
+        taps = rng.uniform(-1, 1, self.L)
+        taps /= np.linalg.norm(taps)
+        phi = Filter(taps)
+        prompt = rng.uniform(-1, 1, self.P)
+
+        def call(src, job):
+            if job == "prefill":
+                return prefill(prompt, src, self.K).contributions.values
+            kind, n = job
+            return generate_scratch(src, n, kind, 0.5, clamp_token(), self.K).outputs.values
+
+        jobs = ["prefill"] + [(kind, n) for kind in ("epoched", "continuous")
+                              for n in (self.L, 6000, 7777)]
+        wants = [call(taps, job) for job in jobs]
+        errors, sizes = [], []
+
+        def work(offset):
+            try:
+                for i in range(len(jobs)):
+                    j = (i + offset) % len(jobs)
+                    if call(phi, jobs[j]).tobytes() != wants[j].tobytes():
+                        errors.append(jobs[j])
+                    sizes.append(len(phi._spectra))
+            except Exception as exc:  # a dead worker must fail the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(sizes) == 4 * len(jobs) and max(sizes) == 4
+
     @pytest.mark.parametrize("kind", ["epoched", "continuous"])
     @pytest.mark.parametrize("lead, sample", [((), None), ((2, 1), (3,))],
                              ids=["array", "batched"])

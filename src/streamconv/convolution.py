@@ -215,16 +215,14 @@ def _direct(a: np.ndarray, b: np.ndarray, start: int, count: int) -> np.ndarray:
     A valid-mode correlation of the reversed inputs with the
     ``len(a) + count - 1`` taps the window reads, from the one its first
     output meets with the last input; zero where it reads before or
-    past the stored taps.
+    past the stored taps. ``b`` ends at or before the window's end, as
+    :func:`middle` trims it.
     """
-    la, lb, end = a.size, b.size, start + count
+    la, lb = a.size, b.size
     lo = start - la + 1
-    if lo >= 0 and end <= lb:
-        seg = b[lo:end]
-    else:
-        seg = np.zeros(la + count - 1)
-        first = max(lo, 0)
-        seg[first - lo:lb - lo] = b[first:]
+    seg = np.zeros(la + count - 1)
+    first = max(lo, 0)
+    seg[first - lo:lb - lo] = b[first:]
     return np.correlate(seg, a[::-1])
 
 
@@ -278,7 +276,11 @@ def _segment_spectra(b: np.ndarray, store: list | None, first: int, block: int, 
                 return fb
     fb = np.empty(b.shape[:-1] + (count, n // 2 + 1), dtype=complex)
     # two or more segments that end inside b are strided views,
-    # transformed in one batch; rfft zero-pads the rest, one at a time
+    # transformed in one batch; rfft zero-pads the rest, one at a time.
+    # A lone segment is a slice: on the host above its rfft took 12.3 us
+    # at n = 2048 against 25.2 us as a batch of one, and a cold 2**18
+    # prefill read 5-13% slower with every segment transformed alone or
+    # the span zero-padded into one batch
     inside = max(0, min(count, (b.shape[-1] - first - n) // block + 1))
     if inside < 2:
         inside = 0

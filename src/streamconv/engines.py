@@ -233,12 +233,12 @@ class OnlineConvEngine:
 
     __slots__ = ("horizon", "shape", "sample_shape", "size", "_taps", "_ntaps",
                  "_buf", "_t", "_perm", "_rows", "_oshape", "_oinv", "_zeros",
-                 "push", "run", "_past", "_mtaps", "_in")
+                 "push", "run", "_in")
 
     kind = "abstract"
     # attributes that alias the buffers or the instance; a pickled or
     # copied state leaves them out, and _bind rebuilds them
-    _aliases: tuple = ("push", "run", "_past", "_mtaps", "_in")
+    _aliases: tuple = ("push", "run", "_in")
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
         horizon = int(horizon)
@@ -270,12 +270,12 @@ class OnlineConvEngine:
         self._oshape = tuple(shape[i] for i in perm)
         self._oinv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
         self._zeros = np.zeros(math.prod(sample_shape))
-        # taps (S, F, L) and a buffer (S, G, horizon), whose (S, 1, G, t)
-        # view middle broadcasts against the taps' (S, F, 1, L) view
+        # taps (S, F, 1, L) and a buffer (S, 1, G, horizon): the layout
+        # middle broadcasts, every row of taps against every channel
         lt = (1,) * (len(shape) - len(lead)) + lead
         full = taps.reshape(lt + (self._ntaps,)).transpose(perm + (len(shape),))
-        self._taps = full.reshape(rows[:2] + (self._ntaps,)).copy()
-        self._buf = np.zeros((rows[0], rows[2], horizon))
+        self._taps = full.reshape(rows[:2] + (1, self._ntaps)).copy()
+        self._buf = np.zeros((rows[0], 1, rows[2], horizon))
 
     @property
     def steps(self) -> int:
@@ -321,19 +321,16 @@ class OnlineConvEngine:
         ``push`` is the scalar step on Python floats or the batched step
         on (S, F, G) rows, as ``shape`` decided at construction, and
         ``run`` the generic loop over it (a blocked scalar engine binds
-        its own loop instead).
-        ``_past`` and ``_mtaps`` are the buffer and the taps as
-        :func:`~streamconv.convolution.middle` reads them, and ``_in``
-        the buffer's (horizon, *sample_shape) view that a batched sample
-        is written through.
+        its own loop instead). ``_in`` is the batched buffer's (horizon,
+        *sample_shape) view that a sample is written through. The buffer
+        and the taps themselves are already in the layout
+        :func:`~streamconv.convolution.middle` reads.
         """
         self.run = self._run_pushes
         if not self.shape:
             self.push = self._push_scalar
-            self._past, self._mtaps = self._buf, self._taps
             return
         self.push = self._push_batched
-        self._past, self._mtaps = self._buf[:, None], self._taps[:, :, None]
         n, sample = len(self.shape), self.sample_shape
         ls = (1,) * (n - len(sample)) + sample
         view = self._buf.reshape(tuple(ls[i] for i in self._perm) + (self.horizon,))
@@ -342,9 +339,8 @@ class OnlineConvEngine:
 
     def _accept(self, sample) -> int:
         """Check a batched sample and write it into slot t; return t."""
+        self._room(1)
         t = self._t
-        if t >= self.horizon:
-            raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
         x = np.asarray(sample, dtype=np.float64)
         if x.shape != self.sample_shape:
             raise ValueError(f"sample must have shape {self.sample_shape}, got {x.shape}")
@@ -384,7 +380,7 @@ class NaiveEngine(OnlineConvEngine):
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
         super().__init__(phi, horizon, sample_shape)
-        self._rtaps = self._taps[..., ::-1].copy()
+        self._rtaps = self._taps.reshape(self._rows[:2] + (-1,))[..., ::-1].copy()
         self._bind()
 
     def _meter_one(self) -> CostMeter:
@@ -392,9 +388,8 @@ class NaiveEngine(OnlineConvEngine):
         return CostMeter(t * (t + 1) // 2, 0, 0, 0)
 
     def _push_scalar(self, sample: float) -> float:
+        self._room(1)
         t = self._t
-        if t >= self.horizon:
-            raise HorizonError(f"push {t + 1} exceeds declared horizon {self.horizon}")
         if not _isfinite(sample):
             raise ValueError(f"sample must be finite (no NaN/Inf), got {sample!r}")
         buf = self._buf
@@ -411,7 +406,7 @@ class NaiveEngine(OnlineConvEngine):
         m = self._ntaps
         w = t if t < m else m
         # reversed taps (S, F, w) against the last w inputs (S, w, G)
-        acc = self._rtaps[..., m - w:] @ self._buf[..., t - w:t].mT
+        acc = self._rtaps[..., m - w:] @ self._buf[:, 0, :, t - w:t].mT
         return acc.reshape(self._oshape).transpose(self._oinv)
 
 
@@ -451,15 +446,13 @@ class _BlockedEngine(OnlineConvEngine):
         # r[x] = phi_{B-x} (1-based, zero past the stored taps): the
         # first tau inputs of the block against r[B-tau:] are the
         # within-block sum at phase tau
-        taps = self._taps
+        taps = self._taps.reshape(self._rows[:2] + (-1,))
         r = np.zeros(taps.shape[:-1] + (block,))
         n = min(block, self._ntaps)
         r[..., block - n:] = taps[..., :n][..., ::-1]
         self._rtaps_b = r
         # slot s of the cache at index s - 1 of the last axis, after the (S, F, G) rows
         self._cache = np.zeros(self._rows + (cache_len,))
-        # the batched step's own (B, S, F, G) copy of its block, refilled by _start
-        self._slots = np.zeros((block,) + self._rows) if self.shape else None
         self._start(0, self._cache[..., :block])
         self._bind()
 
@@ -483,10 +476,9 @@ class _BlockedEngine(OnlineConvEngine):
 
     def _run_scalar(self, x, n: int, feed) -> list:
         """``run`` on a scalar engine: the one scalar blocked step."""
+        self._room(n)
         t0 = t = self._t
         end = t + n
-        if not t <= end <= self.horizon:
-            self._room(n)
         outs: list = []
         append = outs.append
         r, last, ddot, isfinite = self._rtaps_b, self._last, _ddot, _isfinite
@@ -531,17 +523,18 @@ class _BlockedEngine(OnlineConvEngine):
     def _start(self, t: int, slots: np.ndarray) -> None:
         # each step reads its own copy of the block: floats, or (B, S, F, G) rows
         self._e0 = t
-        if self.shape:
-            self._slots[:slots.shape[-1]] = np.moveaxis(slots, -1, 0)
-        else:
-            self._slots = slots.tolist()
+        self._slots = np.moveaxis(slots, -1, 0).copy() if self.shape else slots.tolist()
         self._bind_block()
 
     def _bind_block(self) -> None:
-        # the block's inputs: read by the step's ddot, written through a memoryview
-        self._blk = self._buf[..., self._e0:self._e0 + self._last + 1]
-        if not self.shape:
-            self._blkv = memoryview(self._blk)
+        # the block's inputs: (S, G, B) rows for the batched step, or read
+        # by the scalar step's ddot and written through a memoryview
+        blk = self._buf[..., self._e0:self._e0 + self._last + 1]
+        if self.shape:
+            self._blk = blk[:, 0]
+        else:
+            self._blk = blk
+            self._blkv = memoryview(blk)
 
     def _bind(self) -> None:
         super()._bind()
@@ -593,7 +586,7 @@ class EpochedEngine(_BlockedEngine):
         cache = self._cache
         n = max(0, min(self.epoch_len, self.horizon - t))  # the slots a later push reads
         if n > 0:
-            cache[..., :n] = middle(self._past[..., :t], self._mtaps, t, n, self._spectra)
+            cache[..., :n] = middle(self._buf[..., :t], self._taps, t, n, self._spectra)
         cache[..., n:] = 0.0
         return cache
 
@@ -664,7 +657,7 @@ class ContinuousEngine(_BlockedEngine):
         n = min(m, self.horizon - t)
         if n > 0:
             ahead = self._cache[..., t:t + n]
-            ahead += middle(self._past[..., t - m:t], self._mtaps, m, n, self._spectra)
+            ahead += middle(self._buf[..., t - m:t], self._taps, m, n, self._spectra)
         return self._cache[..., t:t + _BLOCK]
 
 

@@ -207,7 +207,8 @@ def generate_prompted(
         return GenerationResult(Signal(np.zeros(0)), CostMeter(), 0, 0,
                                 cache.filter_spectra_elems)
     tmap = token_map or identity_token
-    # array taps: the engine holds no spectra, so decode memory is its cache alone
+    # array taps: the engine keeps its own tap-spectra store for the call;
+    # the store is a function of the filter, so decode_peak_aux_elems leaves it out
     engine = make_engine(engine_kind, taps[:min(k, taps.size)], k, epoch_len)
 
     # yhat_t = slot_t + fed_t, fed_t being the engine's output before

@@ -643,6 +643,27 @@ class TestCrossEngine:
                 eng.run(0.0, 1, seen.append)
             assert eng.steps == 200 and seen == [], kind
 
+    def test_one_horizon_rule(self):
+        # push L + 1 is refused the same way by push and run, for every
+        # engine, scalar and batched, and changes no state
+        rng = np.random.default_rng(41)
+        length = 40
+        taps = rng.uniform(-1, 1, length)
+        msg = f"push {length + 1} exceeds declared horizon {length}"
+        for kind in ENGINE_KINDS:
+            for phi, x, sample_shape in ((taps, 0.5, None),
+                                         (np.stack([taps, -taps])[:, None], np.full(3, 0.5), (3,))):
+                eng = make_engine(kind, phi, length, sample_shape=sample_shape)
+                eng.run(x, length, lambda y: x)
+                meter, cache = eng.meter, getattr(eng, "cache", None)
+                for call in (eng.push, lambda s: eng.run(s, 1, None)):
+                    with pytest.raises(HorizonError) as info:
+                        call(x)
+                    assert str(info.value) == msg, kind
+                    assert eng.steps == length and eng.meter == meter, kind
+                    if cache is not None:
+                        np.testing.assert_array_equal(eng.cache, cache)
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_push_many_equals_push_and_oracle(self, data):

@@ -11,15 +11,14 @@ Three interchangeable implementations trade compute for memory:
   work is quadratic in the horizon; no auxiliary state at all.
 * :class:`EpochedEngine` -- a K-slot cache of precomputed future
   contributions, rebuilt every K steps from one middle product.
-* :class:`ContinuousEngine` -- a horizon-sized cache updated on a
-  power-of-two schedule; each slot is complete by the time it is
-  read, giving quasilinear total work.
+* :class:`ContinuousEngine` -- its K = L case: a horizon-sized cache
+  filled on a power-of-two schedule, giving quasilinear total work.
 
-The two fast engines share one blocked step (a cached slot plus one
-inner product over the block's own inputs) and differ only in how they
-fill the next block's slots: a rebuild from all history, or the one
-schedule level on the boundary. This tiling is how Flash Inference
-(Oncescu et al., arXiv 2410.12982) composes the two algorithms.
+The two fast engines keep one cache policy: at an epoch start a
+rebuild from all history, otherwise one schedule level at a block
+boundary, cut at the epoch's end; a step reads a cached slot plus one
+inner product over its block's own inputs. This tiling follows Flash
+Inference (Oncescu et al., arXiv 2410.12982).
 
 Every engine carries a :class:`CostMeter` whose counters are exact
 integers, deterministic for a given input length and configuration
@@ -97,9 +96,10 @@ class CostMeter:
         the full product of the inputs so far and the taps they reach
         (the nominal charge; the middle product actually run is
         shorter).
-        The continuous engine's two counters are the untiled
-        schedule's nominal charge, also for the levels it runs as the
-        block's inner products.
+        Both fast engines report their untiled algorithm's closed
+        form: the epoched counters charge rebuilds and phases only, not
+        the schedule levels that tile the epoch, and the continuous
+        ones the whole schedule, also the levels run as inner products.
     cache_rebuilds
         Number of completed cache rebuilds.
     peak_aux_elems
@@ -141,7 +141,9 @@ def optimal_epoch_length(horizon: int) -> int:
 
 def default_epoch_length(horizon: int) -> int:
     """:class:`EpochedEngine`'s K when none is given, for every caller:
-    :func:`optimal_epoch_length`, and 1 below horizon 2."""
+    :func:`optimal_epoch_length`, and 1 below horizon 2. K sets the
+    cache's memory and the rebuilds' work, not the step's length: a
+    step runs in a block of at most 256, whatever K."""
     return optimal_epoch_length(horizon) if horizon >= 2 else 1
 
 
@@ -410,38 +412,64 @@ class NaiveEngine(OnlineConvEngine):
         return acc.reshape(self._oshape).transpose(self._oinv)
 
 
+# the largest block B of the fast engines; see _BlockedEngine for the choice
+_BLOCK = 256
+
+
 class _BlockedEngine(OnlineConvEngine):
-    """The step shared by the epoched and continuous engines.
+    """The one cache policy of the epoched and continuous engines.
 
-    Pushes run in blocks of B steps. At phase tau of a block (its tau-th
-    step) the output is the cached slot, which holds the contribution of
-    every input before the block, plus the within-block sum: the block's
-    first tau inputs against the first tau taps, reversed. That is one
-    buffer write, one slot read and one inner product (scalar, in
-    ``run``'s loop) or one matrix product (batched, in ``push``). After
-    the block's last step, ``_next_block(t)`` returns the cached slots
-    t+1 .. t+B of the next one. The cache keeps its slots on the last
-    axis, as ``middle`` writes them.
+    The cache keeps K slots on its last axis, as ``middle`` writes them:
+    slot s of the current epoch (its s-th output) at index s - 1. Pushes
+    run in blocks of B = min(256, K) steps inside the epoch, its last
+    block short when B does not divide K. At phase tau of a block the
+    output is the cached slot plus the block's first tau inputs against
+    the first tau taps, reversed: one buffer write, one slot read and
+    one inner product (scalar, in ``run``'s loop) or matrix product
+    (batched, in ``push``). After a block's last step,
+    ``_next_block(t)`` fills the next block's slots and returns them.
 
-    Both fill the cache through ``middle`` with a store of tap spectra,
-    owned with the taps under ``middle``'s store rule: a one-row engine
-    over a :class:`~streamconv.signal.Filter` passes the Filter's store,
-    so later engines and prefills over that Filter read what it
+    At an epoch start every slot is rebuilt from all history. Otherwise,
+    at each phase s that is a multiple of B, one level of FutureFill's
+    continuous schedule adds the last m = s & -s inputs' contribution to
+    the next m outputs, cut at the epoch's end and the horizon; m >= B.
+    An (input i, output j) pair of one block is served by the step's
+    inner product; any other pair of one epoch by exactly one level, the
+    one at the multiple of B in [i, j) with the most trailing zeros; a
+    pair across epochs by the rebuild. Each runs at or before the
+    boundary that opens j's block, so every slot is complete when its
+    block starts and no update touches a consumed slot. The continuous
+    engine is the case K = L, one epoch.
+
+    B is a constant: the step's BLAS ``ddot`` costs about 200 ns whether
+    it sums 1 term or 256. On a 2-vCPU Xeon (one BLAS thread, warm
+    Filter, medians of 12 interleaved in-process rounds), a continuous
+    generation call at 2**16 took 40.3 ms at B = 64, 36.2 at 128, 34.8
+    at 256 and 34.4 at 512; in two such sets 256 was 10-14% faster than
+    64 at every horizon from 2**12 to 2**18 and 512 within 2% of 256, so
+    B is the smaller of the two.
+
+    Every middle product passes a store of tap spectra, owned with the
+    taps under ``middle``'s store rule: a one-row engine over a
+    :class:`~streamconv.signal.Filter` passes the Filter's store, so
+    later engines and prefills over that Filter read what it
     transformed, and an engine over array taps or batched rows keeps its
     own, which ``reset`` keeps. The spectra are a function of the
     filter, not of the stream: ``peak_aux_elems`` leaves them out, and
     copies and pickles of the engine carry none.
     """
 
-    __slots__ = ("_last", "_cache", "_slots", "_e0", "_blk", "_blkv", "_rtaps_b", "_spectra")
+    __slots__ = ("_last", "_cache", "_epoch", "_slots", "_e0", "_blk", "_blkv", "_rtaps_b",
+                 "_spectra")
 
     _aliases = OnlineConvEngine._aliases + ("_blk", "_blkv")
 
-    def __init__(self, phi: Filter | ArrayLike, horizon: int, block: int, cache_len: int,
+    def __init__(self, phi: Filter | ArrayLike, horizon: int, epoch_len: int,
                  sample_shape=None):
         super().__init__(phi, horizon, sample_shape)
         # a Filter's store holds one row's spectra; batched rows would write another shape
         self._spectra = phi._spectra if isinstance(phi, Filter) and not self.shape else []
+        block = min(_BLOCK, epoch_len)
         self._last = block - 1
         # r[x] = phi_{B-x} (1-based, zero past the stored taps): the
         # first tau inputs of the block against r[B-tau:] are the
@@ -451,8 +479,8 @@ class _BlockedEngine(OnlineConvEngine):
         n = min(block, self._ntaps)
         r[..., block - n:] = taps[..., :n][..., ::-1]
         self._rtaps_b = r
-        # slot s of the cache at index s - 1 of the last axis, after the (S, F, G) rows
-        self._cache = np.zeros(self._rows + (cache_len,))
+        self._cache = np.zeros(self._rows + (epoch_len,))
+        self._epoch = 0
         self._start(0, self._cache[..., :block])
         self._bind()
 
@@ -469,6 +497,7 @@ class _BlockedEngine(OnlineConvEngine):
     def reset(self) -> None:
         super().reset()
         self._cache[...] = 0.0
+        self._epoch = 0
         self._start(0, self._cache[..., :self._last + 1])
 
     def _push_scalar(self, sample: float) -> float:
@@ -488,7 +517,7 @@ class _BlockedEngine(OnlineConvEngine):
                 e0, slots, blk, blkv = self._e0, self._slots, self._blk, self._blkv
                 # phases p .. q-1 of this block; the first push runs alone
                 p = t - e0
-                q = p + 1 if t == t0 else min(last + 1, end - e0)
+                q = p + 1 if t == t0 else min(len(slots), end - e0)
                 for p in range(p, q):
                     x = f(y)
                     if not isfinite(x):
@@ -498,7 +527,7 @@ class _BlockedEngine(OnlineConvEngine):
                     y = slots[p] + ddot(r, blk, p + 1, last - p)
                     append(y)
                 t, f = e0 + q, feed
-                if q > last:
+                if q == len(slots):
                     self._start(t, self._next_block(t))
         finally:
             self._t = t0 + len(outs)
@@ -512,13 +541,31 @@ class _BlockedEngine(OnlineConvEngine):
         acc += self._slots[p]
         t += 1
         self._t = t
-        if p == self._last:
+        if p + 1 == len(self._slots):
             self._start(t, self._next_block(t))
         return acc.reshape(self._oshape).transpose(self._oinv)
 
     def _next_block(self, t: int) -> np.ndarray:
-        """Cached slots t+1 .. t+B on the last axis, after the t-th push."""
-        raise NotImplementedError
+        """Fill the cached slots of the block after the t-th push; return them."""
+        cache, k = self._cache, self._cache.shape[-1]
+        s = t - self._epoch
+        if t == self.horizon:
+            pass  # no later push reads a slot
+        elif s == k:
+            # a new epoch: the future contribution of all history
+            self._epoch, s = t, 0
+            n = min(k, self.horizon - t)
+            cache[..., :n] = middle(self._buf[..., :t], self._taps, t, n, self._spectra)
+            cache[..., n:] = 0.0
+        else:
+            # one schedule level: the last m inputs against taps 2..2m,
+            # positions m..2m-1 of their m x 2m product, cut at the
+            # epoch's end and the horizon
+            m = s & -s
+            n = min(m, k - s, self.horizon - t)
+            ahead = cache[..., s:s + n]
+            ahead += middle(self._buf[..., t - m:t], self._taps, m, n, self._spectra)
+        return cache[..., s:s + self._last + 1]
 
     def _start(self, t: int, slots: np.ndarray) -> None:
         # each step reads its own copy of the block: floats, or (B, S, F, G) rows
@@ -546,14 +593,12 @@ class _BlockedEngine(OnlineConvEngine):
 class EpochedEngine(_BlockedEngine):
     """Cache the next K future contributions, rebuilding every K steps.
 
-    The block is the epoch (B = K), K being
-    :func:`default_epoch_length` of the horizon unless given. When the
-    phase wraps, the cache is repopulated with the future contribution
-    of everything seen so far: one :func:`~streamconv.convolution.middle`
-    window, whose paths never span the 2t + K points of the full
-    product. Only the slots a later push can read are filled: none at
-    all for the rebuild at the horizon, which is still counted and
-    charged.
+    K is :func:`default_epoch_length` of the horizon unless given. A
+    rebuild is one :func:`~streamconv.convolution.middle` window, whose
+    paths never span the 2t + K points of the full product, filling
+    only the slots a later push can read: none at the horizon, where it
+    is still counted and charged. Within the epoch the cache follows
+    :class:`_BlockedEngine`'s schedule.
     """
 
     __slots__ = ("epoch_len",)
@@ -568,7 +613,7 @@ class EpochedEngine(_BlockedEngine):
         if epoch_len < 1:
             raise ConfigurationError("epoch length must be >= 1")
         self.epoch_len = epoch_len
-        super().__init__(phi, horizon, epoch_len, epoch_len, sample_shape)
+        super().__init__(phi, horizon, epoch_len, sample_shape)
 
     def _meter_one(self) -> CostMeter:
         t, k = self._t, self.epoch_len
@@ -581,19 +626,6 @@ class EpochedEngine(_BlockedEngine):
         mac = q * (k * (k + 1) // 2) + r * (r + 1) // 2  # sum of phases
         return CostMeter(mac, ff, q, k)
 
-    def _next_block(self, t: int) -> np.ndarray:
-        """Refill the cache with future positions t+1 .. t+K of [u*phi]."""
-        cache = self._cache
-        n = max(0, min(self.epoch_len, self.horizon - t))  # the slots a later push reads
-        if n > 0:
-            cache[..., :n] = middle(self._buf[..., :t], self._taps, t, n, self._spectra)
-        cache[..., n:] = 0.0
-        return cache
-
-
-# the continuous engine's block B; see ContinuousEngine for the choice
-_BLOCK = 256
-
 
 class ContinuousEngine(_BlockedEngine):
     """Schedule-driven cache covering the whole horizon.
@@ -602,32 +634,7 @@ class ContinuousEngine(_BlockedEngine):
     the last ``m = 2**k(t)`` inputs to the next m outputs is added to
     the cache, where k(t) is the number of trailing zero bits of t
     (capped at floor(log2 horizon)). Writes past the horizon are
-    truncated.
-
-    The schedule is tiled into the shared blocked step with a fixed
-    block B = 256: an (input i, output s) pair inside one block is
-    served by the step's inner product, and the schedule runs only at
-    multiples of B, where m >= B. Any other pair is covered by exactly
-    one of those updates, the one at the multiple of B in [i, s) with
-    the most trailing zeros. It runs at or before the boundary that
-    opens s's block, so every slot is complete when its block starts,
-    and no update touches an already-consumed slot. The cache therefore
-    holds the contributions of earlier blocks only. Each update passes
-    the engine's tap-spectra store (see :class:`_BlockedEngine`), so a
-    transformed level reads the spectrum of its taps instead of
-    transforming them again.
-
-    B is a constant, not a parameter. The levels below it (m = 1 ..
-    128, on 255 steps in 256) become the step's inner product of at
-    most 256 terms, and the step's BLAS ``ddot`` costs about 200 ns
-    whether it sums 1 term or 256; each level from 256 up is one middle
-    product per boundary, 255 boundaries at horizon 2**16 instead of
-    1,023 at B = 64. On a 2-vCPU Xeon (one BLAS thread, warm Filter,
-    medians of 12 interleaved in-process rounds), a generation call at
-    2**16 took 40.3 ms at B = 64, 36.2 at 128, 34.8 at 256 and 34.4 at
-    512. In two such sets 256 was 10-14% faster than 64 at every horizon
-    from 2**12 to 2**18 and 512 within 2% of 256, so B is the smaller
-    of the two.
+    truncated: :class:`_BlockedEngine`'s policy with one epoch, K = L.
     """
 
     __slots__ = ("b",)
@@ -635,7 +642,7 @@ class ContinuousEngine(_BlockedEngine):
     kind = "continuous"
 
     def __init__(self, phi: Filter | ArrayLike, horizon: int, sample_shape=None):
-        super().__init__(phi, horizon, _BLOCK, int(horizon), sample_shape)
+        super().__init__(phi, horizon, int(horizon), sample_shape)
         self.b = self.horizon.bit_length() - 1  # floor(log2 horizon)
 
     def _meter_one(self) -> CostMeter:
@@ -647,18 +654,6 @@ class ContinuousEngine(_BlockedEngine):
         for k in range(b):
             ff += ((t >> k) - (t >> (k + 1))) * (max(1, k) << k)
         return CostMeter(t, ff, 0, self.horizon)
-
-    def _next_block(self, t: int) -> np.ndarray:
-        # below the horizon t < 2**(b+1), so k(t) is not capped and m is
-        # the lowest set bit of t. The last m inputs against taps
-        # 2..2m: positions m..2m-1 of their m x 2m product, cut to the
-        # horizon.
-        m = t & -t
-        n = min(m, self.horizon - t)
-        if n > 0:
-            ahead = self._cache[..., t:t + n]
-            ahead += middle(self._buf[..., t - m:t], self._taps, m, n, self._spectra)
-        return self._cache[..., t:t + _BLOCK]
 
 
 def make_engine(

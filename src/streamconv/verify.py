@@ -169,26 +169,31 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
 
 
 def suite_cache_lemma(res: SuiteResult, seed: int, max_l: int) -> None:
-    """No cache slot changes after the step that consumed it.
+    """No cache slot changes between the step that consumed it and the
+    rebuild that ends its epoch.
 
-    Every length crosses at least three block boundaries of the
-    continuous engine, whatever ``max_l``; one of them is not a power
-    of two.
+    The continuous engine is one epoch; the epoched one at K = 2B + 3
+    ends each epoch with a block of 3 slots, which its in-epoch levels
+    fill. Every length crosses at least three block boundaries, whatever
+    ``max_l``; one of them is not a power of two.
     """
     rng = _rng(seed, 4)
     for length in (3 * _BLOCK + 5, 4 * _BLOCK, 5 * _BLOCK + 3):
         u = rng.uniform(-1, 1, length)
         taps = rng.uniform(-1, 1, length)
-        eng = ContinuousEngine(taps, length)
-        frozen = np.empty(length)
-        for t in range(length):
-            eng.push(u[t])
-            cache = eng.cache
-            frozen[t] = cache[t]
-            # slots consumed so far must still hold their frozen values
-            if t and not np.array_equal(cache[:t], frozen[:t]):
-                res.fail(L=length, step=t + 1)
-            res.check()
+        for eng in (ContinuousEngine(taps, length), EpochedEngine(taps, length, 2 * _BLOCK + 3)):
+            k = getattr(eng, "epoch_len", length)
+            frozen = np.empty(k)
+            for t in range(length):
+                p = t % k
+                frozen[p] = eng.cache[p]  # the slot this push reads
+                eng.push(u[t])
+                if p == k - 1 and t + 1 < length:
+                    continue  # this push rebuilt the cache for the next epoch
+                # the slots of this epoch read so far must still hold what was read
+                if not np.array_equal(eng.cache[:p + 1], frozen[:p + 1]):
+                    res.fail(engine=eng.kind, L=length, step=t + 1)
+                res.check()
 
 
 def suite_cost_bounds(res: SuiteResult, seed: int, max_l: int) -> None:

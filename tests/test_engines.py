@@ -667,7 +667,9 @@ class TestCrossEngine:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_push_many_equals_push_and_oracle(self, data):
-        length = data.draw(st.integers(min_value=1, max_value=300), label="length")
+        # up to about 2.7 blocks, so that B < K < L, with a short last block
+        # in the epoch, can be drawn
+        length = data.draw(st.integers(min_value=1, max_value=700), label="length")
         ntaps = data.draw(st.sampled_from([0, 1, 2, 3, length]), label="ntaps")
         epoch = data.draw(st.sampled_from([1, length])
                           | st.integers(min_value=1, max_value=length), label="K")
@@ -745,6 +747,30 @@ class TestCrossEngine:
         u, taps = integer_case(rng, length, (8,), (16, 1))
         exact, bound = rounded_oracle(u.T, taps)
         got = ContinuousEngine(taps, length, sample_shape=(8,)).push_many(u)
+        assert np.all(np.abs(np.moveaxis(got, 0, -1) - exact) <= bound)
+
+    @pytest.mark.parametrize("epoch", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3,
+                                       3 * _BLOCK + 5])
+    def test_epoched_exact_at_its_tiling(self, epoch):
+        # K around the block B, at L = 3B + 5: one block per epoch up to
+        # K = B, then epochs of full blocks and a short last one (K = B +
+        # 1 ends in a block of 1, K = 2B + 3 in a block of 3) whose slots
+        # the in-epoch levels fill; one filter, twice through one Filter,
+        # and 16 filters over 8 channels, against the rounded-transform oracle
+        length = 3 * _BLOCK + 5
+        rng = np.random.default_rng(epoch)
+        u, taps = integer_case(rng, length)
+        exact, bound = rounded_oracle(u, taps)
+        phi = Filter(taps)
+        runs = [EpochedEngine(src, length, epoch).push_many(u) for src in (taps, phi, phi)]
+        for got in runs:
+            assert np.max(np.abs(got - exact)) <= bound
+        assert_bitwise(runs[2], runs[1])
+        # the run contract, split at 2B + 7: past an epoch start for every K but L
+        check_run(lambda: EpochedEngine(taps, length, epoch), u, 2 * _BLOCK + 7, epoch)
+        u, taps = integer_case(rng, length, (8,), (16, 1))
+        exact, bound = rounded_oracle(u.T, taps)
+        got = EpochedEngine(taps, length, epoch, sample_shape=(8,)).push_many(u)
         assert np.all(np.abs(np.moveaxis(got, 0, -1) - exact) <= bound)
 
     def test_exact_integer_oracle_batched_at_stu_scale(self):

@@ -21,6 +21,12 @@ sizes. It covers the shapes of the three benchmark workloads:
 Every call runs twice, so a second call that reads a store filled by
 the first is covered too. Inputs come from the package's SplitMix64
 streams. One BLAS thread, as ``perfbench/run.py`` sets it.
+
+Standard error gets one ``label sha256`` line per value added to the
+digest, so when two checkouts' digests differ, a ``diff`` of their
+standard errors names the entries that moved::
+
+    python3 tools/fingerprint.py 2> entries.txt
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ class Digest:
         else:
             data = repr(value).encode()
         self._h.update(label.encode() + b"\0" + data + b"\0")
+        print(label, hashlib.sha256(data).hexdigest(), file=sys.stderr)
 
     def call(self, label: str, run) -> None:
         """Run ``run()`` and add what it returns with its transform_calls delta."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import verify as verify_mod
-from .engines import ENGINE_KINDS
+from .engines import ENGINE_KINDS, default_epoch_length
 from .errors import ConfigurationError, SequenceFormatError
 from .generate import clamp_token, generate_prompted, generate_scratch, identity_token
 from .rng import SplitMix64, stream_seed
@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+_EPOCH_LEN_HELP = ("epoch length K of the epoched engine (0 = the default "
+                  "min(L, 4 round(sqrt(L log2 L))), L the tokens generated)")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -65,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of strictly ascending generation lengths")
     p.add_argument("--mode", choices=("scratch", "prompt"), default="scratch")
     p.add_argument("--prompt-len", type=int, default=0)
-    p.add_argument("--epoch-len", type=int, default=0,
-                   help="override epoch length K (0 = optimal per length)")
+    p.add_argument("--epoch-len", type=int, default=0, help=_EPOCH_LEN_HELP)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--warmup", type=int, default=1)
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True,
                    help="number of tokens to generate")
     p.add_argument("--engine", choices=ENGINE_KINDS, default="continuous")
-    p.add_argument("--epoch-len", type=int, default=0)
+    p.add_argument("--epoch-len", type=int, default=0, help=_EPOCH_LEN_HELP)
     p.add_argument("--filter-source", choices=("random", "spectral", "file"),
                    default="random")
     p.add_argument("--filter-file", default="",
@@ -185,6 +187,7 @@ def _cmd_gen(args) -> int:
     token_map = identity_token if args.token_map == "identity" else clamp_token()
     out = args.output or "generated.txt"
     epoch_len = args.epoch_len or None
+    k_epoch = (epoch_len or default_epoch_length(args.length)) if args.engine == "epoched" else 0
     if args.mode == "scratch":
         phi = _gen_filter(args, args.length)
         result = generate_scratch(phi, args.length, args.engine,
@@ -203,6 +206,7 @@ def _cmd_gen(args) -> int:
         "L_gen": args.length,
         "L_prompt": prompt_len,
         "seed": args.seed,
+        "K_epoch": k_epoch,
         "prefill_transform_calls": result.prefill_transform_calls,
         "decode_peak_aux_elems": result.decode_peak_aux_elems,
         "filter_spectra_elems": result.filter_spectra_elems,

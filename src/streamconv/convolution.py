@@ -74,8 +74,11 @@ _BATCHED_POINTS_PER_OUTPUT = 2
 # .. 2**19 with leading axes, 2**10 .. 2**19 without) and at most one
 # more per level for a window cut short by the horizon, 24 in all; one
 # per epoched rebuild transformed before the past holds a full block (at
-# most six) and one for the blocked ones; one for prefill. A level of m
-# holds 2m + 2 floats, so the levels up to horizon 2**16 take 1 MiB.
+# most six) and one for the blocked ones; one for prefill. An epoched
+# engine's levels share the continuous ones' geometries but for those
+# cut at its epoch's end: at horizon 2**20 the two engines at their
+# defaults hold 21 over one Filter. A level of m holds 2m + 2 floats,
+# so the levels up to horizon 2**16 take 1 MiB.
 _STORE_GEOMETRIES = 32
 
 _fast_conv_calls = 0

@@ -29,6 +29,7 @@ from .engines import (
     NaiveEngine,
     default_epoch_length,
     k_of_t,
+    optimal_epoch_length,
 )
 from .errors import ConfigurationError
 from .generate import clamp_token, generate_prompted, oracle_prompted
@@ -123,12 +124,15 @@ def _oracle_outputs(u: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
     """All engines vs the direct-summation oracle.
 
-    At the largest length the epoched engine at K = L / 8 and the
-    continuous engine also run twice through one :class:`Filter`, whose
-    store serves both: in the first run, the epoched rebuilds from t =
-    4K on (at L = 4096) and the continuous level updates read tap
-    spectra that earlier calls stored; in the second, every transformed
-    call reads them.
+    Lengths 1..48 run the epoched engine at K = 1, the default, the
+    paper's optimum and L; the default is L at each of them, so only
+    the optimum lies strictly between 1 and L (from length 3). At the
+    largest length the epoched engine at K = L / 8 and the continuous
+    engine also run twice through one :class:`Filter`, whose store
+    serves both: in the first run, the epoched rebuilds from t = 4K on
+    (at L = 4096) and the continuous level updates read tap spectra
+    that earlier calls stored; in the second, every transformed call
+    reads them.
     """
     rng = _rng(seed, 3)
 
@@ -146,7 +150,9 @@ def suite_oracle_equivalence(res: SuiteResult, seed: int, max_l: int) -> None:
     for length in range(1, 49):
         u = rng.uniform(-1, 1, length)
         taps = rng.uniform(-1, 1, length)
-        epochs = sorted({1, default_epoch_length(length), length})
+        # the optimum is 1 at lengths 1 and 2
+        epochs = sorted({1, default_epoch_length(length), optimal_epoch_length(max(length, 2)),
+                         length})
         engines = [NaiveEngine(taps, length), ContinuousEngine(taps, length)]
         engines += [EpochedEngine(taps, length, k) for k in epochs]
         check(u, taps, engines, "exhaustive")

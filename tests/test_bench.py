@@ -31,12 +31,12 @@ class TestRecords:
             if rec.engine == "naive":
                 assert rec.mac_count == rec.L_gen * (rec.L_gen + 1) // 2
 
-    def test_epoched_default_k_is_optimal(self, records):
-        for rec in records:
-            if rec.engine == "epoched":
-                assert rec.K_epoch == optimal_epoch_length(rec.L_gen)
-            else:
-                assert rec.K_epoch == 0
+    def test_epoched_default_k_is_four_optimal_capped(self, records):
+        # min(L, 4 round(sqrt(L log2 L))): capped at L = 64 only
+        ks = {rec.L_gen: rec.K_epoch for rec in records if rec.engine == "epoched"}
+        assert ks == {64: 64, 128: 120, 256: 180, 512: 272}
+        assert all(min(n, 4 * optimal_epoch_length(n)) == k for n, k in ks.items())
+        assert all(rec.K_epoch == 0 for rec in records if rec.engine != "epoched")
 
     @pytest.mark.parametrize("mode", ["scratch", "prompt"])
     def test_moved_default_k_is_recorded_and_run(self, epoch_default_3, mode):

@@ -91,6 +91,23 @@ class TestGen:
         meta = json.loads((tmp_path / "gen.txt.meta.json").read_text())
         assert meta["filter_spectra_elems"] == elems
 
+    @pytest.mark.parametrize("mode", ["scratch", "prompt"])
+    @pytest.mark.parametrize("engine, flags, k", [
+        ("epoched", [], 120),  # min(128, 4 round(sqrt(128 * 7)))
+        ("epoched", ["--epoch-len", "7"], 7),
+        ("naive", [], 0),
+        ("continuous", [], 0),
+    ])
+    def test_sidecar_records_the_epoch_length_run(self, tmp_path, mode, engine, flags, k):
+        out = tmp_path / "gen.txt"
+        rc = main(["gen", "--mode", mode, "--length", "128", "--engine", engine,
+                   "--output", str(out)] + flags)
+        assert rc == 0
+        meta = json.loads((tmp_path / "gen.txt.meta.json").read_text())
+        assert meta["K_epoch"] == k
+        if k:  # the K the engine ran: its cache holds K slots
+            assert meta["meter"]["peak_aux_elems"] == k
+
     def test_same_seed_bitwise_identical(self, tmp_path):
         outs = []
         for name in ("a.txt", "b.txt"):
